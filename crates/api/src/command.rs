@@ -4,13 +4,12 @@ use gwc_math::Vec4;
 use gwc_raster::{BlendState, CullMode, DepthState, FrontFace, PrimitiveType, StencilState};
 use gwc_shader::Program;
 use gwc_texture::{Image, SamplerState, TexFormat};
-use serde::{Deserialize, Serialize};
 
 /// Which graphics API a workload targets (Table I's API column). The
 /// command vocabulary is shared; the flag matters because only OpenGL
 /// workloads drive the microarchitectural simulator, mirroring the paper's
 /// ATTILA limitation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphicsApi {
     /// OpenGL (simulated microarchitecturally, like the paper's OGL set).
     OpenGl,
@@ -30,7 +29,7 @@ impl GraphicsApi {
 
 /// Index data for an indexed draw. The element width is the "bytes per
 /// index" of Table III (2 for 16-bit engines, 4 for the Doom3 engine).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Indices {
     /// 16-bit indices.
     U16(Vec<u16>),
@@ -85,7 +84,7 @@ impl Indices {
 /// The byte size drives Table XVII's bytes-per-vertex measurement; games of
 /// the era pack position (12 B), normal (12 B), tangent (12–16 B), one or
 /// two texcoord sets (8 B each) and a color (4 B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VertexLayout {
     /// Number of Vec4 attribute slots per vertex (position first).
     pub attributes: u8,
@@ -104,7 +103,7 @@ impl VertexLayout {
 }
 
 /// Buffer masks for [`Command::Clear`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClearMask {
     /// Clear the color buffer.
     pub color: bool,
@@ -123,7 +122,7 @@ impl ClearMask {
 
 /// A state-change API call. Each one counts toward Figure 3's
 /// "state calls between batches".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StateCommand {
     /// Depth test configuration.
     Depth(DepthState),
@@ -179,7 +178,7 @@ pub enum StateCommand {
 }
 
 /// One traced API command.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Upload a vertex buffer to GPU memory (startup traffic; thereafter
     /// only indices cross the bus — the "indexed mode" of Section III.A).

@@ -2,14 +2,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::command::{Command, StateCommand};
 use crate::trace::Trace;
 use crate::CommandSink;
 
 /// Errors a [`Device`] reports for malformed command streams.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeviceError {
     /// A resource id was created twice.
     DuplicateId(&'static str, u32),

@@ -4,13 +4,12 @@ use std::collections::HashMap;
 
 use gwc_raster::PrimitiveType;
 use gwc_stats::TimeSeries;
-use serde::{Deserialize, Serialize};
 
 use crate::command::{Command, Indices};
 use crate::CommandSink;
 
 /// Raw per-frame counters, reset at every `EndFrame`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FrameApiStats {
     /// Draw calls this frame (Figure 1).
     pub batches: u64,
@@ -32,7 +31,7 @@ pub struct FrameApiStats {
     pub fs_tex_sum: f64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ProgramInfo {
     instructions: u32,
     texture_instructions: u32,
@@ -50,7 +49,7 @@ struct ProgramInfo {
 /// stats.consume(&Command::EndFrame);
 /// assert_eq!(stats.frames(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ApiStats {
     programs: HashMap<u32, (bool, ProgramInfo)>, // id -> (is_fragment, info)
     index_buffers: HashMap<u32, (u32, u64)>,     // id -> (bytes/idx, len)

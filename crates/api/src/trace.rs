@@ -1,7 +1,5 @@
 //! Replayable command traces.
 
-use serde::{Deserialize, Serialize};
-
 use crate::command::Command;
 use crate::CommandSink;
 
@@ -11,7 +9,7 @@ use crate::CommandSink;
 /// Traces replay bit-exactly into any [`CommandSink`] — "allowing to replay
 /// exactly the same input several times", the property the paper's
 /// methodology (after Dunwoody & Linton) is built on.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     commands: Vec<Command>,
 }

@@ -35,11 +35,11 @@ experiments:
   replay               replay one timedemo through the simulator (see
                        --game, --checkpoint-every, --resume FILE)
   parallel             time the pipeline serial vs --threads workers in
-                       three parallel modes (fragment stripes, chunked
-                       geometry, two-deep frame pipeline), verify every
-                       run bit-identical, and record work-tick throughput
-                       in BENCH_parallel.json + BENCH_pipeline.json (see
-                       --check for the regression gate)
+                       two parallel modes (fragment stripes, then chunked
+                       geometry as well), verify every run bit-identical,
+                       and record work-tick throughput in
+                       BENCH_parallel.json (see --check for the
+                       regression gate)
   campaign             the full supervised campaign: characterize all
                        twelve games, checkpointed replays of the simulated
                        demos, and the ablation sweep — with panic
@@ -98,8 +98,8 @@ options:
                        replay / all host cores for parallel)
   --check FILE         parallel: after benching, compare the fresh
                        ticks_per_second against the committed baseline
-                       FILE (BENCH_parallel.json or BENCH_pipeline.json,
-                       matched by its \"bench\" field); exit 1 on a >10%
+                       FILE (BENCH_parallel.json, whose \"bench\" field
+                       must be \"parallel\"); exit 1 on a >10%
                        regression, exit 2 if FILE is missing or
                        malformed; repeatable
   --paper              full setting: 2000 API frames, 8 simulated frames
@@ -724,21 +724,21 @@ struct BenchPass {
     identical: bool,
 }
 
-/// Extracts `"key": <u64>` from a flat JSON object without a full parse,
-/// so baseline files may carry float fields (seconds) the perf gate never
-/// reads.
-fn json_field_u64(text: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn json_field_str<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": \"");
-    let at = text.find(&needle)? + needle.len();
-    text[at..].split('"').next()
+/// The `ticks_per_second` of a `BENCH_parallel.json` baseline, or `None`
+/// if `text` is not one.
+fn baseline_ticks_per_second(text: &str) -> Option<u64> {
+    use gwc_telemetry::validate::{parse_json, Json};
+    let Ok(Json::Obj(map)) = parse_json(text) else {
+        return None;
+    };
+    match (map.get("bench"), map.get("ticks_per_second")) {
+        (Some(Json::Str(bench)), Some(&Json::Num(n)))
+            if bench == "parallel" && n >= 0.0 && n.fract() == 0.0 =>
+        {
+            Some(n as u64)
+        }
+        _ => None,
+    }
 }
 
 /// Reads the `--check` baseline files *before* the bench overwrites them
@@ -760,28 +760,23 @@ fn read_baselines(checks: &[String]) -> Vec<(String, String)> {
 }
 
 /// The perf gate: compares each pre-read baseline's work-tick throughput
-/// against the fresh measurement of the same bench. A >10% regression
-/// exits 1.
-fn check_baselines(baselines: &[(String, String)], fresh: &[(String, u64)]) {
+/// against the fresh measurement. A >10% regression exits 1.
+fn check_baselines(baselines: &[(String, String)], current: u64) {
     let mut regressed = false;
     for (path, text) in baselines {
-        let (Some(bench), Some(baseline)) =
-            (json_field_str(text, "bench"), json_field_u64(text, "ticks_per_second"))
-        else {
-            eprintln!("repro: --check {path}: no 'bench' + 'ticks_per_second' fields");
-            std::process::exit(2);
-        };
-        let Some((_, current)) = fresh.iter().find(|(name, _)| name == bench) else {
-            eprintln!("repro: --check {path}: baseline is for unknown bench '{bench}'");
+        let Some(baseline) = baseline_ticks_per_second(text) else {
+            eprintln!(
+                "repro: --check {path}: not a JSON object with \"bench\": \"parallel\" and an integer \"ticks_per_second\""
+            );
             std::process::exit(2);
         };
         // Fresh throughput must reach 90% of the committed baseline.
         let floor = baseline - baseline / 10;
-        let verdict = if *current < floor { "REGRESSED" } else { "ok" };
+        let verdict = if current < floor { "REGRESSED" } else { "ok" };
         eprintln!(
-            "perf gate [{bench}]: {current} ticks/s vs baseline {baseline} (floor {floor}): {verdict}"
+            "perf gate [parallel]: {current} ticks/s vs baseline {baseline} (floor {floor}): {verdict}"
         );
-        if *current < floor {
+        if current < floor {
             regressed = true;
         }
     }
@@ -792,11 +787,11 @@ fn check_baselines(baselines: &[(String, String)], fresh: &[(String, u64)]) {
 }
 
 /// Times the replay serial vs `--threads` workers across the parallel
-/// modes — fragment stripes, chunked geometry, and the two-deep frame
-/// pipeline — checks every run bit-identical to serial, and records the
-/// honest numbers (including the host's core count — a speedup claim
-/// from a 1-core container is meaningless) in `BENCH_parallel.json` and
-/// `BENCH_pipeline.json`, keyed to the deterministic work-tick clock.
+/// modes — fragment stripes, then chunked geometry as well — checks every
+/// run bit-identical to serial, and records the honest numbers (including
+/// the host's core count — a speedup claim from a 1-core container is
+/// meaningless) in `BENCH_parallel.json`, keyed to the deterministic
+/// work-tick clock.
 fn run_parallel_bench(options: &Options) {
     let config = options.run_config();
     let frames = config.sim_frames.max(2);
@@ -818,30 +813,28 @@ fn run_parallel_bench(options: &Options) {
     // compare a fresh result against the bytes it just wrote itself.
     let baselines = read_baselines(&options.check);
 
-    let timed = |label: &str, geom: u32, frag: u32, pipeline: bool| {
+    let timed = |label: &str, geom: u32, frag: u32| {
         eprintln!("parallel bench: {} ({frames} frames at {w}x{h}), {label} pass...", options.game);
         let start = std::time::Instant::now();
         let gpu = gwc_bench::simulate_with(&options.game, frames, w, h, |c| {
             c.threads = frag;
             c.geometry_threads = geom;
-            c.frame_pipeline = pipeline;
         });
         (start.elapsed().as_secs_f64(), gpu)
     };
-    let (serial_secs, serial) = timed("serial", 1, 1, false);
+    let (serial_secs, serial) = timed("serial", 1, 1);
     let work_ticks = serial.work_tick();
     let reference = serial.save_checkpoint();
 
-    let pass = |label: String, geom: u32, frag: u32, pipeline: bool| {
-        let (seconds, gpu) = timed(&label, geom, frag, pipeline);
+    let pass = |label: String, geom: u32, frag: u32| {
+        let (seconds, gpu) = timed(&label, geom, frag);
         let identical = serial.stats() == gpu.stats()
             && serial.framebuffer_crc() == gpu.framebuffer_crc()
             && reference == gpu.save_checkpoint();
         BenchPass { label, seconds, identical }
     };
-    let fragment = pass(format!("{threads}-thread fragment"), 1, threads, false);
-    let geometry = pass(format!("{threads}-thread geometry+fragment"), threads, threads, false);
-    let pipelined = pass(format!("{threads}-thread pipelined"), threads, threads, true);
+    let fragment = pass(format!("{threads}-thread fragment"), 1, threads);
+    let geometry = pass(format!("{threads}-thread geometry+fragment"), threads, threads);
 
     let mut t = Table::new(
         format!("Parallel pipeline: {} ({frames} frames at {w}x{h}, {work_ticks} work ticks)", options.game),
@@ -856,7 +849,7 @@ fn run_parallel_bench(options: &Options) {
         tps(serial_secs).to_string(),
         "-".into(),
     ]);
-    for p in [&fragment, &geometry, &pipelined] {
+    for p in [&fragment, &geometry] {
         t.row(vec![
             p.label.clone(),
             format!("{:.3}", p.seconds),
@@ -870,40 +863,30 @@ fn run_parallel_bench(options: &Options) {
         println!("(host exposes a single core: the speedup column measures scheduling overhead, not scaling)");
     }
 
-    // BENCH_parallel.json carries the unpipelined fully-parallel mode;
-    // BENCH_pipeline.json the pipelined one. Both gate on work ticks per
-    // wall second — the numerator is deterministic, so only the host's
-    // wall clock varies.
-    let header = format!(
-        "  \"game\": \"{}\",\n  \"frames\": {frames},\n  \"width\": {w},\n  \"height\": {h},\n  \"host_cores\": {host_cores},\n  \"threads\": {threads},\n  \"work_ticks\": {work_ticks},\n  \"serial_seconds\": {serial_secs:.3},\n",
-        options.game
+    // BENCH_parallel.json carries the fully-parallel mode and gates on
+    // work ticks per wall second — the numerator is deterministic, so only
+    // the host's wall clock varies.
+    let file = "BENCH_parallel.json";
+    let json = format!(
+        "{{\n  \"bench\": \"parallel\",\n  \"game\": \"{}\",\n  \"frames\": {frames},\n  \"width\": {w},\n  \"height\": {h},\n  \"host_cores\": {host_cores},\n  \"threads\": {threads},\n  \"work_ticks\": {work_ticks},\n  \"serial_seconds\": {serial_secs:.3},\n  \"parallel_seconds\": {:.3},\n  \"speedup\": {:.3},\n  \"ticks_per_second\": {},\n  \"bit_identical\": {}\n}}\n",
+        options.game,
+        geometry.seconds,
+        serial_secs / geometry.seconds,
+        tps(geometry.seconds),
+        geometry.identical
     );
-    let all_identical = fragment.identical && geometry.identical && pipelined.identical;
-    let mut fresh = Vec::new();
-    for (file, bench, p) in
-        [("BENCH_parallel.json", "parallel", &geometry), ("BENCH_pipeline.json", "pipeline", &pipelined)]
-    {
-        let json = format!(
-            "{{\n  \"bench\": \"{bench}\",\n{header}  \"parallel_seconds\": {:.3},\n  \"speedup\": {:.3},\n  \"ticks_per_second\": {},\n  \"bit_identical\": {}\n}}\n",
-            p.seconds,
-            serial_secs / p.seconds,
-            tps(p.seconds),
-            p.identical
-        );
-        match std::fs::write(file, &json) {
-            Ok(()) => eprintln!("wrote {file}"),
-            Err(e) => {
-                eprintln!("repro: cannot write {file}: {e}");
-                std::process::exit(1);
-            }
+    match std::fs::write(file, &json) {
+        Ok(()) => eprintln!("wrote {file}"),
+        Err(e) => {
+            eprintln!("repro: cannot write {file}: {e}");
+            std::process::exit(1);
         }
-        fresh.push((bench.to_string(), tps(p.seconds)));
     }
-    if !all_identical {
+    if !(fragment.identical && geometry.identical) {
         eprintln!("repro: a parallel run diverged from serial — determinism bug");
         std::process::exit(1);
     }
-    check_baselines(&baselines, &fresh);
+    check_baselines(&baselines, tps(geometry.seconds));
 }
 
 /// A hardened replay of one timedemo: frame-boundary checkpoints on the

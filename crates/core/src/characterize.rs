@@ -5,7 +5,6 @@ use gwc_mem::{CacheStats, FrameTraffic};
 use gwc_pipeline::{CancelToken, Gpu, GpuConfig, SimStats};
 use gwc_texture::SampleStats;
 use gwc_workloads::{GameProfile, Timedemo, TimedemoConfig};
-use serde::{Deserialize, Serialize};
 
 /// Study parameters.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// frames) and microarchitectural statistics from ATTILA runs; a software
 /// pipeline can't render thousands of 1024×768 frames in CI, so the two
 /// passes are configured separately (see DESIGN.md §4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
     /// Frames for the API-level pass (cheap: no rasterization).
     pub api_frames: u32,

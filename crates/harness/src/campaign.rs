@@ -14,6 +14,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use gwc_core::RunConfig;
+use gwc_telemetry::export::crc32;
 
 use crate::job::{Experiment, Job, JobReport, Outcome, Rung};
 use crate::json::{self, Json};
@@ -238,20 +239,6 @@ fn summary_text(entries: &[ManifestEntry]) -> String {
         count(Outcome::Skipped),
     ));
     out
-}
-
-/// CRC-32 (IEEE, reflected) — the same polynomial the GWCK container
-/// uses, duplicated here because the pipeline keeps its helper private.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 fn io_invalid(message: String) -> io::Error {
@@ -502,12 +489,6 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
 
     #[test]
     fn entry_json_round_trips() {

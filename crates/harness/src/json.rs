@@ -1,12 +1,11 @@
 //! A minimal JSON codec for the campaign manifest.
 //!
-//! The build environment has no registry access, so `serde_json` is not
-//! available (the vendored `serde` is a marker-trait facade). The
-//! manifest only needs a small, well-defined JSON subset — objects,
-//! arrays, strings, unsigned integers, booleans, `null` — and this module
-//! implements exactly that, with a recursion-depth guard and proper
-//! string escaping. The writer emits keys in insertion order so a
-//! manifest round-trips byte-identically, which the resume tests rely on.
+//! The workspace has no external JSON library. The manifest only needs
+//! a small, well-defined JSON subset — objects, arrays, strings, unsigned
+//! integers, booleans, `null` — and this module implements exactly that,
+//! with a recursion-depth guard and proper string escaping. The writer
+//! emits keys in insertion order so a manifest round-trips
+//! byte-identically, which the resume tests rely on.
 
 use std::fmt::Write as _;
 

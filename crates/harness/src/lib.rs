@@ -66,11 +66,14 @@ pub mod lock;
 mod supervisor;
 
 pub use campaign::{
-    crc32, demoted_entry, entry_from_report, entry_from_report_named, load_manifest,
+    demoted_entry, entry_from_report, entry_from_report_named, load_manifest,
     read_artifact, run_campaign, write_manifest,
     CampaignOptions, CampaignOutcome, ManifestEntry, MANIFEST_FILE, MANIFEST_VERSION, REPORT_FILE,
 };
 pub use chaos::{ChaosBehavior, ChaosRunner};
+/// IEEE CRC-32, the checksum of every GWCK section, GWTB trace, WAL frame
+/// and manifest artifact.
+pub use gwc_telemetry::export::crc32;
 pub use lock::{DirLock, LockError, LOCK_FILE};
 pub use job::{
     AttemptRecord, AttemptResult, Experiment, Job, JobError, JobProduct, JobReport, Outcome, Rung,

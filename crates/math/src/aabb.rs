@@ -1,7 +1,5 @@
 //! Axis-aligned bounding boxes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Vec3;
 
 /// An axis-aligned bounding box, stored as min/max corners.
@@ -9,7 +7,7 @@ use crate::Vec3;
 /// An *empty* box (the [`Default`] / [`Aabb::EMPTY`] value) has
 /// `min > max` in every axis and absorbs nothing when intersected,
 /// everything when unioned.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     /// Minimum corner.
     pub min: Vec3,

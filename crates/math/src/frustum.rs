@@ -1,11 +1,9 @@
 //! View frustum extraction and classification.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Aabb, Mat4, Plane, Vec3, Vec4};
 
 /// The result of classifying a volume against a [`Frustum`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Containment {
     /// Entirely outside at least one plane.
     Outside,
@@ -17,7 +15,7 @@ pub enum Containment {
 
 /// A view frustum as six inward-facing planes, extracted from a combined
 /// projection-view matrix (Gribb–Hartmann method).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Frustum {
     /// Planes in order: left, right, bottom, top, near, far. Normals point
     /// inside the frustum.

@@ -2,15 +2,13 @@
 
 use std::ops::Mul;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Vec3, Vec4};
 
 /// A column-major 4x4 matrix, matching the OpenGL convention used by the
 /// simulated API layer.
 ///
 /// `cols[c]` is column `c`; element *(row r, col c)* is `cols[c][r]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat4 {
     /// The four columns of the matrix.
     pub cols: [Vec4; 4],

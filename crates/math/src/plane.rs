@@ -1,12 +1,10 @@
 //! Oriented planes in 3D.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Vec3, Vec4};
 
 /// A plane `n·p + d = 0`. Points with `signed_distance > 0` are on the side
 /// the normal points toward (the "inside" for frustum planes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Plane {
     /// Plane normal (not necessarily unit length unless normalized).
     pub normal: Vec3,

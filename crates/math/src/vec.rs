@@ -3,8 +3,6 @@
 use std::ops::{Add, AddAssign, Div, DivAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub,
                SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! impl_binop {
     ($ty:ident, $($f:ident),+) => {
         impl Add for $ty {
@@ -62,7 +60,7 @@ macro_rules! impl_binop {
 }
 
 /// A 2-component float vector (texture coordinates, screen positions).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// X component.
     pub x: f32,
@@ -102,7 +100,7 @@ impl Vec2 {
 impl_binop!(Vec2, x, y);
 
 /// A 3-component float vector (positions, normals, colors).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component.
     pub x: f32,
@@ -207,7 +205,7 @@ impl From<Vec3> for [f32; 3] {
 
 /// A 4-component float vector (homogeneous positions, RGBA colors, shader
 /// registers).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec4 {
     /// X component.
     pub x: f32,

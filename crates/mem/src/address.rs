@@ -1,7 +1,5 @@
 //! Virtual GPU address space.
 
-use serde::{Deserialize, Serialize};
-
 /// A bump allocator over a virtual GPU address space.
 ///
 /// The simulator stores resource *payloads* in typed Rust structures, but
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(zb >= vb + 64 * 1024);
 /// assert_eq!(zb % 256, 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddressSpace {
     next: u64,
     allocated: u64,

@@ -1,9 +1,7 @@
 //! Set-associative write-back cache model.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether an access reads or writes the cached line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
     /// Read access: a miss fetches the line from memory.
     Read,
@@ -16,7 +14,7 @@ pub enum AccessKind {
 ///
 /// Table XIV of the paper describes the ATTILA caches in `ways × line-size`
 /// or `ways × sets × line-size` form; both are expressible here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of ways per set.
     pub ways: usize,
@@ -43,7 +41,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss/writeback counts accumulated by a [`Cache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Total accesses.
     pub accesses: u64,
@@ -81,7 +79,7 @@ impl CacheStats {
 }
 
 /// The result of [`Cache::access_detailed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// Whether the access hit.
     pub hit: bool,
@@ -89,7 +87,7 @@ pub struct AccessOutcome {
     pub evicted_dirty_line: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -99,7 +97,7 @@ struct Line {
 }
 
 /// Externally-visible state of one cache line (checkpoint support).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LineState {
     /// The line's tag (meaningless when not valid).
     pub tag: u64,

@@ -15,10 +15,8 @@
 //! The compressors here operate on real block payloads, so compressibility
 //! *emerges* from what the pipeline actually rendered.
 
-use serde::{Deserialize, Serialize};
-
 /// Compression level of one framebuffer block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockState {
     /// Block has not been touched since the last fast clear: zero bytes of
     /// traffic to read, clear-value semantics.
@@ -103,7 +101,7 @@ pub fn classify_color_block(block: &[u32]) -> BlockState {
 
 /// Per-surface compression directory: one [`BlockState`] per 8×8 block,
 /// plus the fast-clear value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompressionDirectory {
     blocks_x: u32,
     blocks_y: u32,

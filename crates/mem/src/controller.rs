@@ -1,10 +1,8 @@
 //! Per-client memory traffic accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// The GPU units that generate memory traffic, matching the stages of the
 /// paper's Table XVI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemClient {
     /// Command processor: command fetch and system→GPU transfers.
     CommandProcessor,
@@ -56,7 +54,7 @@ impl MemClient {
 }
 
 /// Read/write byte counts for one client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClientTraffic {
     /// Bytes read from GPU memory.
     pub read: u64,
@@ -72,7 +70,7 @@ impl ClientTraffic {
 }
 
 /// One frame's traffic, broken down by client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FrameTraffic {
     clients: [ClientTraffic; 6],
 }
@@ -156,7 +154,7 @@ impl FrameTraffic {
 /// assert_eq!(frame.total_read(), 64);
 /// assert_eq!(frame.total_written(), 256);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemoryController {
     current: FrameTraffic,
     frames: Vec<FrameTraffic>,
@@ -167,7 +165,7 @@ pub struct MemoryController {
 /// transaction flips a seeded coin; a hit marks the data returned to the
 /// client as corrupted. The pipeline polls [`MemoryController::take_injected_faults`]
 /// after each command and classifies hits as memory faults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct ReadFaultInjector {
     state: u64,
     rate_ppm: u32,

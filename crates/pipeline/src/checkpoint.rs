@@ -16,6 +16,8 @@
 //! [`crate::Gpu::save_checkpoint`] and [`crate::Gpu::restore_checkpoint`]
 //! own which sections exist and what their payloads mean.
 
+use gwc_telemetry::export::crc32;
+
 /// File magic: `GWCK`.
 const MAGIC: [u8; 4] = *b"GWCK";
 /// Container format version. Version 2 added the stripe layout to `CONF`
@@ -59,35 +61,6 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-// ---- CRC-32 (IEEE 802.3, reflected) -----------------------------------
-
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// IEEE CRC-32 of `data`.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 // ---- container framing ------------------------------------------------
 
@@ -249,13 +222,6 @@ impl<'a> Dec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vector() {
-        // The canonical CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn sections_roundtrip() {

@@ -2,7 +2,6 @@
 
 use gwc_math::Vec4;
 use gwc_raster::{BlendFactor, BlendState};
-use serde::{Deserialize, Serialize};
 
 /// Packs a normalized color into RGBA8.
 fn pack(c: Vec4) -> u32 {
@@ -32,7 +31,7 @@ fn factor(f: BlendFactor, src: Vec4, dst: Vec4) -> Vec4 {
 }
 
 /// The render target: a `width × height` RGBA8 surface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColorBuffer {
     width: u32,
     height: u32,

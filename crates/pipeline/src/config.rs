@@ -1,13 +1,12 @@
 //! Simulator configuration (the paper's Table II).
 
 use gwc_mem::CacheConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::error::FaultPolicy;
 
 /// GPU configuration, defaulting to the ATTILA setup of Table II (matched
 /// to an ATI R520) with the cache geometry of Table XIV.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuConfig {
     /// Render target width in pixels.
     pub width: u32,
@@ -63,26 +62,11 @@ pub struct GpuConfig {
     /// on the thread count.
     pub stripe_rows: u32,
     /// Geometry front-end worker threads (vertex shading and triangle
-    /// setup chunks). `0` resolves from the `GWC_GEOM_THREADS` environment
-    /// variable and falls back to the resolved fragment thread count. Any
+    /// setup chunks). `0` uses the resolved fragment thread count. Any
     /// value produces bit-identical results: chunk shards reduce in fixed
     /// chunk order, so parallelism only changes which worker executes a
     /// chunk, never what the chunk contributes.
     pub geometry_threads: u32,
-    /// Vertices/triangles per geometry chunk — the unit of geometry-stage
-    /// parallelism. Must be non-zero. Pure scheduling: chunk boundaries
-    /// partition fixed, batch-ordered work, and every merged statistic is
-    /// an exact sum, so the chunk size is invisible in results (it is not
-    /// serialized in checkpoints for the same reason).
-    pub geometry_chunk: u32,
-    /// Two-deep draw pipeline: overlap one draw's stripe rasterization
-    /// with the next draw's geometry. Only active under
-    /// [`FaultPolicy::Strict`] with fault injection disarmed (lenient
-    /// policies and armed injectors silently fall back to the synchronous
-    /// flush). Observation points (clears, frame retirement, checkpoints,
-    /// telemetry spans) all sit behind the pipeline drain, so enabling
-    /// this cannot change any committed byte.
-    pub frame_pipeline: bool,
 }
 
 impl GpuConfig {
@@ -114,8 +98,6 @@ impl GpuConfig {
             threads: 0,
             stripe_rows: 32,
             geometry_threads: 0,
-            geometry_chunk: 64,
-            frame_pipeline: false,
         }
     }
 

@@ -16,7 +16,7 @@
 //!    each chunk clips, culls and sets up its triangles, collecting
 //!    survivors and a [`GeomShard`] of counters.
 //!
-//! Chunk boundaries depend only on the configured chunk size and the
+//! Chunk boundaries depend only on the fixed [`CHUNK`] size and the
 //! command stream — never on the worker count — and every merged quantity
 //! is an exact integer sum reduced in ascending chunk order, so any worker
 //! count is bit-identical to the serial loop this replaces (the same
@@ -34,6 +34,12 @@ use gwc_stats::GeomShard;
 
 use crate::budget::CancelToken;
 use crate::error::SimError;
+
+/// Vertices/triangles per chunk — the unit of geometry-stage parallelism.
+/// Pure scheduling: chunk boundaries partition fixed, batch-ordered work
+/// and every merged statistic is an exact sum, so the size is invisible in
+/// results (and is not serialized in checkpoints).
+const CHUNK: usize = 64;
 
 /// Fixed-function state sampled at draw time for clip, cull and setup.
 #[derive(Clone, Copy)]
@@ -69,8 +75,6 @@ pub(crate) struct GeomRequest<'a> {
     pub vs_proto: ShaderMachine,
     /// Post-transform cache capacity in entries.
     pub cache_entries: usize,
-    /// Vertices/triangles per chunk (`GpuConfig::geometry_chunk`, ≥ 1).
-    pub chunk: usize,
     /// Geometry worker count. Any value is bit-identical.
     pub workers: usize,
     /// Clip/cull/setup state snapshot.
@@ -343,21 +347,19 @@ fn setup_one(st: &SetupState, tri: &[ShadedVertex; 3], count_cull: bool, c: &mut
 // ---- driver ------------------------------------------------------------
 
 /// Runs one draw's geometry. The output is bit-identical for every
-/// `workers` value; `chunk` fixes the work partition and is likewise
-/// invisible in the result (chunk shards reduce in ascending chunk order
-/// and all counters are exact sums).
+/// `workers` value: chunk shards reduce in ascending chunk order and all
+/// counters are exact sums.
 pub(crate) fn run(req: &GeomRequest<'_>) -> GeomOutput {
     let plan = plan(req);
-    let chunk = req.chunk.max(1);
 
     // Phase 2 — shade the miss list in parallel chunks writing disjoint
     // slices of the shared output buffer.
     let mut shaded = vec![ShadedVertex::at(Vec4::ZERO); plan.fetches.len()];
     let shade_jobs: Vec<(&[u32], &mut [ShadedVertex])> =
-        plan.fetches.chunks(chunk).zip(shaded.chunks_mut(chunk)).collect();
+        plan.fetches.chunks(CHUNK).zip(shaded.chunks_mut(CHUNK)).collect();
     let shade_chunks =
         run_chunks(shade_jobs, req.workers, |i, (idxs, out)| {
-            shade_chunk(req, (i * chunk) as u32, idxs, out)
+            shade_chunk(req, (i * CHUNK) as u32, idxs, out)
         });
     if shade_chunks.iter().any(|c| c.cancelled) {
         return GeomOutput::tripped();
@@ -391,7 +393,7 @@ pub(crate) fn run(req: &GeomRequest<'_>) -> GeomOutput {
     // Phase 3 — clip/cull/setup in parallel triangle chunks; survivor
     // lists concatenate in chunk order, reproducing the serial emission
     // order exactly (rasterization order affects results).
-    let setup_jobs: Vec<&[[u32; 3]]> = plan.tri_slots.chunks(chunk).collect();
+    let setup_jobs: Vec<&[[u32; 3]]> = plan.tri_slots.chunks(CHUNK).collect();
     let setup_chunks = run_chunks(setup_jobs, req.workers, |_, slots| {
         setup_chunk(&req.setup, req.cancel, slots, &shaded)
     });
@@ -599,7 +601,6 @@ mod tests {
             program: &program,
             vs_proto: ShaderMachine::new(),
             cache_entries: capacity,
-            chunk: 8,
             workers: 1,
             setup: SetupState {
                 viewport: Viewport::new(16, 16),

@@ -21,7 +21,7 @@ use crate::colorbuffer::ColorBuffer;
 use crate::config::GpuConfig;
 use crate::error::{FaultKind, FaultPolicy, SimError};
 use crate::fragment::{DrawPacket, StripeJob, StripeOutcome, StripeTrace, StripeUnits};
-use crate::geometry::{self, GeomOutput, GeomRequest, SetupState};
+use crate::geometry::{self, GeomRequest, SetupState};
 use crate::stats::{FrameSimStats, SimStats};
 use crate::streamer::VertexCache;
 
@@ -38,45 +38,6 @@ struct IndexBufferRes {
     indices: Indices,
     #[allow(dead_code)]
     addr: u64,
-}
-
-/// A draw whose geometry is committed but whose fragment flush is
-/// deferred, so the *next* draw's geometry can overlap it. Pure data —
-/// no thread lives between commands. Everything the flush reads that a
-/// non-draining command could change (render state, texture bindings,
-/// the fragment-shader constants) is snapshotted here at defer time, so
-/// the flush sees exactly the state the serial path would have.
-#[derive(Debug)]
-struct PendingFlush {
-    tris: Vec<(TriangleSetup, StencilState)>,
-    program: Program,
-    early_z_ok: bool,
-    hz_ok: bool,
-    depth_state: DepthState,
-    blend: BlendState,
-    color_mask: bool,
-    alpha_test: Option<f32>,
-    bindings: HashMap<u8, u32>,
-    viewport: Viewport,
-    /// Fragment machine snapshot: master constants, zeroed statistics.
-    proto_fs: ShaderMachine,
-    /// Work tick at the start of the draw (span start).
-    draw_start: u64,
-    /// Work tick after the draw's geometry committed; the flush's trace
-    /// timebase and the base of its fragment-tick span extension.
-    geom_end: u64,
-    tri_count: u64,
-}
-
-/// A validated draw's geometry work, resolved by `Gpu::validate_draw`
-/// before the (possibly overlapped) geometry run is kicked.
-struct GeomArgs {
-    vertex_buffer: u32,
-    index_buffer: u32,
-    primitive: gwc_raster::PrimitiveType,
-    first: usize,
-    tri_count: usize,
-    program: Program,
 }
 
 /// Validation products of a draw that needs fragment work resolved.
@@ -138,10 +99,8 @@ pub struct Gpu {
     threads: u32,
 
     // Chunk-parallel geometry front end: resolved worker count (chunk
-    // layout is fixed by `GpuConfig::geometry_chunk`, never by this), and
-    // the two-deep draw pipeline's deferred fragment flush, if any.
+    // layout is fixed by `geometry::CHUNK`, never by this).
     geom_threads: u32,
-    pending: Option<PendingFlush>,
 
     // Framebuffer state.
     zbuffer: DepthStencilBuffer,
@@ -162,10 +121,6 @@ pub struct Gpu {
     // Fault handling.
     skip_frame: bool,
     first_error: Option<SimError>,
-    // Whether seeded fault injection is armed; the draw pipeline falls
-    // back to synchronous flushes while it is (injector streams are
-    // consumed in read order, which deferral would reorder).
-    injection_armed: bool,
 
     // Supervision: an optional cooperative cancellation token. When it
     // trips, command execution stops doing work (the stream keeps
@@ -202,58 +157,6 @@ fn resolve_threads(configured: u32) -> u32 {
         .unwrap_or(1)
 }
 
-/// Resolves the geometry worker count: an explicit configuration wins;
-/// `0` consults the `GWC_GEOM_THREADS` environment variable and falls
-/// back to the resolved fragment worker count.
-fn resolve_geom_threads(configured: u32, fragment_threads: u32) -> u32 {
-    if configured > 0 {
-        return configured;
-    }
-    std::env::var("GWC_GEOM_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u32>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(fragment_threads)
-}
-
-/// Builds the borrowed geometry request for a validated draw. A free
-/// function over the individual fields (rather than a `&self` method) so
-/// `flush_pending` can construct it while the framebuffer bands and
-/// stripe units are mutably lent to the overlapped fragment flush.
-#[allow(clippy::too_many_arguments)]
-fn geom_request<'a>(
-    vertex_buffers: &'a HashMap<u32, VertexBufferRes>,
-    index_buffers: &'a HashMap<u32, IndexBufferRes>,
-    config: &GpuConfig,
-    geom_threads: u32,
-    vs_machine: &ShaderMachine,
-    setup: SetupState,
-    cancel: Option<&'a CancelToken>,
-    a: &'a GeomArgs,
-) -> GeomRequest<'a> {
-    let vb = &vertex_buffers[&a.vertex_buffer];
-    let ib = &index_buffers[&a.index_buffer];
-    let mut vs_proto = vs_machine.clone();
-    vs_proto.restore_stats(ExecStats::default());
-    GeomRequest {
-        data: &vb.data,
-        attrs: vb.layout.attributes.max(1) as usize,
-        stride_bytes: vb.layout.stride_bytes as u64,
-        vertex_buffer: a.vertex_buffer,
-        indices: &ib.indices,
-        first: a.first,
-        primitive: a.primitive,
-        tri_count: a.tri_count,
-        program: &a.program,
-        vs_proto,
-        cache_entries: config.vertex_cache_entries,
-        chunk: config.geometry_chunk.max(1) as usize,
-        workers: geom_threads as usize,
-        setup,
-        cancel,
-    }
-}
-
 impl Gpu {
     /// Creates a GPU with cleared framebuffers.
     ///
@@ -275,7 +178,7 @@ impl Gpu {
         let stripe_count = config.height.div_ceil(config.stripe_rows) as usize;
         let stripes = (0..stripe_count).map(|_| StripeUnits::new(&config)).collect();
         let threads = resolve_threads(config.threads);
-        let geom_threads = resolve_geom_threads(config.geometry_threads, threads);
+        let geom_threads = if config.geometry_threads > 0 { config.geometry_threads } else { threads };
         Gpu {
             viewport,
             vram,
@@ -300,7 +203,6 @@ impl Gpu {
             stripes,
             threads,
             geom_threads,
-            pending: None,
             zbuffer: DepthStencilBuffer::new(config.width, config.height),
             hz: HzBuffer::new(config.width, config.height),
             z_dir: CompressionDirectory::new(config.width, config.height),
@@ -315,7 +217,6 @@ impl Gpu {
             fs_prev: ExecStats::default(),
             skip_frame: false,
             first_error: None,
-            injection_armed: false,
             cancel: None,
             tick: 0,
             telemetry: None,
@@ -346,7 +247,6 @@ impl Gpu {
     /// `seed` and the stripe index, so the corruption pattern depends on
     /// the (configuration-fixed) stripe layout, never on the thread count.
     pub fn enable_memory_fault_injection(&mut self, seed: u64, rate_ppm: u32) {
-        self.injection_armed = rate_ppm > 0;
         self.mem.enable_fault_injection(seed, rate_ppm);
         for (i, s) in self.stripes.iter_mut().enumerate() {
             let stripe_seed = seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -425,16 +325,6 @@ impl Gpu {
         self.geom_threads
     }
 
-    /// Whether the two-deep draw pipeline is live: it requires the
-    /// configuration flag, strict fault handling (the lenient policies
-    /// re-attribute absorbed faults at batch/frame granularity, which a
-    /// deferred flush would shift), and a disarmed fault injector.
-    fn pipeline_active(&self) -> bool {
-        self.config.frame_pipeline
-            && matches!(self.config.fault_policy, FaultPolicy::Strict)
-            && !self.injection_armed
-    }
-
     /// Number of framebuffer stripes (fixed by the configuration).
     pub fn stripe_count(&self) -> usize {
         self.stripes.len()
@@ -488,7 +378,7 @@ impl Gpu {
         for &p in self.colorbuffer.raw_pixels() {
             bytes.extend_from_slice(&p.to_le_bytes());
         }
-        checkpoint::crc32(&bytes)
+        gwc_telemetry::export::crc32(&bytes)
     }
 
     /// The depth/stencil buffer.
@@ -537,31 +427,6 @@ impl Gpu {
     }
 
     // ---- pipeline internals ------------------------------------------
-
-    /// Whether `command` must see the deferred fragment flush committed
-    /// before it executes. Draws manage the pipeline themselves; render
-    /// state, bindings and program binds are snapshotted into the
-    /// [`PendingFlush`], so only commands that observe framebuffer or
-    /// statistics state (clears, frame retirement, resource creation) or
-    /// that can fault in their own right (constant uploads) drain.
-    fn needs_drain(command: &Command) -> bool {
-        match command {
-            Command::Draw { .. } => false,
-            Command::State(s) => matches!(
-                s,
-                StateCommand::VertexConstants { .. } | StateCommand::FragmentConstants { .. }
-            ),
-            _ => true,
-        }
-    }
-
-    /// Commits the deferred fragment flush, if one is pending.
-    fn drain_pending(&mut self) -> Result<(), SimError> {
-        match self.pending.take() {
-            Some(p) => self.flush_pending(p, None).0,
-            None => Ok(()),
-        }
-    }
 
     /// Resolves and validates everything a draw needs before geometry
     /// runs, charging the index-fetch memory traffic. Exactly the serial
@@ -652,56 +517,31 @@ impl Gpu {
         let (Some(vp_id), Some(fp_id)) = (self.bound_vertex, self.bound_fragment) else {
             return Ok(()); // no programs bound: draw is ignored
         };
-        // A validation fault belongs to *this* command, but a deferred
-        // flush is older work: commit it first so its fault (if any) wins,
-        // matching the serial surfacing order.
-        let prep = match self.validate_draw(vertex_buffer, index_buffer, vp_id, fp_id, first, count)
-        {
-            Ok(prep) => prep,
-            Err(e) => {
-                self.drain_pending()?;
-                return Err(e);
-            }
-        };
+        let prep = self.validate_draw(vertex_buffer, index_buffer, vp_id, fp_id, first, count)?;
         let tri_count = primitive.triangle_count(count as usize);
-        let args = GeomArgs {
-            vertex_buffer,
-            index_buffer,
-            primitive,
-            first: first as usize,
-            tri_count,
-            program: prep.vertex_program,
-        };
 
-        // Phase 1 — chunk-parallel geometry, overlapped with the deferred
-        // draw's fragment flush when one is pending. A geometry fault
-        // aborts the draw before *any* fragment work, so the flush always
-        // sees a complete triangle list.
-        let out = match self.pending.take() {
-            Some(p) => {
-                let (res, out) = self.flush_pending(p, Some(&args));
-                // The older draw's fault wins; this draw's geometry is
-                // discarded with it (its statistics were never committed).
-                res?;
-                match out {
-                    Some(out) => out,
-                    None => return Ok(()), // unreachable: geometry was requested
-                }
-            }
-            None => {
-                let req = geom_request(
-                    &self.vertex_buffers,
-                    &self.index_buffers,
-                    &self.config,
-                    self.geom_threads,
-                    &self.vs_machine,
-                    self.setup_state(),
-                    self.cancel.as_ref(),
-                    &args,
-                );
-                geometry::run(&req)
-            }
-        };
+        // Phase 1 — chunk-parallel geometry. A geometry fault aborts the
+        // draw before *any* fragment work, so the flush always sees a
+        // complete triangle list.
+        let vb = &self.vertex_buffers[&vertex_buffer];
+        let mut vs_proto = self.vs_machine.clone();
+        vs_proto.restore_stats(ExecStats::default());
+        let out = geometry::run(&GeomRequest {
+            data: &vb.data,
+            attrs: vb.layout.attributes.max(1) as usize,
+            stride_bytes: vb.layout.stride_bytes as u64,
+            vertex_buffer,
+            indices: &self.index_buffers[&index_buffer].indices,
+            first: first as usize,
+            primitive,
+            tri_count,
+            program: &prep.vertex_program,
+            vs_proto,
+            cache_entries: self.config.vertex_cache_entries,
+            workers: self.geom_threads as usize,
+            setup: self.setup_state(),
+            cancel: self.cancel.as_ref(),
+        });
         if out.cancelled {
             return Ok(());
         }
@@ -743,32 +583,8 @@ impl Gpu {
             return Ok(());
         }
 
-        // Phase 2 — stripe-parallel fragment flush: deferred one draw when
-        // the pipeline is live, synchronous otherwise.
-        let mut proto_fs = self.fs_machine.clone();
-        proto_fs.restore_stats(ExecStats::default());
-        let pending = PendingFlush {
-            tris: out.tris,
-            program: prep.fragment_program,
-            early_z_ok: prep.early_z_ok,
-            hz_ok: prep.hz_ok,
-            depth_state: self.depth_state,
-            blend: self.blend,
-            color_mask: self.color_mask,
-            alpha_test: self.alpha_test,
-            bindings: self.tex_bindings.clone(),
-            viewport: self.viewport,
-            proto_fs,
-            draw_start,
-            geom_end,
-            tri_count: tri_count as u64,
-        };
-        if self.pipeline_active() {
-            self.pending = Some(pending);
-            Ok(())
-        } else {
-            self.flush_pending(pending, None).0
-        }
+        // Phase 2 — stripe-parallel fragment flush.
+        self.flush_fragments(out.tris, &prep, draw_start, tri_count as u64)
     }
 
     /// The clip/cull/setup state a draw's geometry samples at kick time.
@@ -782,89 +598,48 @@ impl Gpu {
         }
     }
 
-    /// Commits one draw's deferred fragment work across the stripes,
-    /// optionally overlapping the *next* draw's geometry on the main
-    /// thread, then reduces the per-stripe results deterministically (in
-    /// stripe order). Returns the flush result and the overlapped
-    /// geometry's output, if requested.
-    ///
-    /// The overlap is safe by disjointness: the stripe jobs mutably
-    /// borrow framebuffer bands and stripe units, while geometry reads
-    /// only resource tables, configuration and the vertex machine — and
-    /// it is deterministic by construction, so running it concurrently
-    /// with (or after, or without) the flush cannot change any result.
-    fn flush_pending(
+    /// Runs one draw's fragment work across the stripes, then reduces the
+    /// per-stripe results deterministically (in stripe order).
+    fn flush_fragments(
         &mut self,
-        p: PendingFlush,
-        geom: Option<&GeomArgs>,
-    ) -> (Result<(), SimError>, Option<GeomOutput>) {
-        let PendingFlush {
-            tris,
-            program,
-            early_z_ok,
-            hz_ok,
-            depth_state,
-            blend,
-            color_mask,
-            alpha_test,
-            bindings,
-            viewport,
-            proto_fs: proto,
-            draw_start,
-            geom_end,
-            tri_count,
-        } = p;
+        tris: Vec<(TriangleSetup, StencilState)>,
+        prep: &DrawPrep,
+        draw_start: u64,
+        tri_count: u64,
+    ) -> Result<(), SimError> {
+        // Fragment machine prototype: master constants, zeroed statistics.
+        let mut proto = self.fs_machine.clone();
+        proto.restore_stats(ExecStats::default());
         // Detach the telemetry rings before other fields of `self` are
         // borrowed into the jobs. Each stripe records into its own ring;
         // they return through the outcomes and reattach in stripe order.
-        // The trace timebase is the deferred draw's own geometry-end tick,
-        // not the current clock (which may already have advanced past it
-        // by the deferring command's tick), so spans are byte-identical to
-        // the synchronous flush.
-        let trace_base = geom_end;
-        let mut trace_rings = self.telemetry.as_mut().and_then(Collector::take_stripe_rings);
+        // The trace timebase is the tick after the draw's geometry.
+        let geom_end = self.tick;
+        let trace_rings = self.telemetry.as_mut().and_then(Collector::take_stripe_rings);
         let packet = DrawPacket {
             tris,
-            program: &program,
-            early_z_ok,
-            hz_ok,
-            depth_state,
-            blend,
-            color_mask,
-            alpha_test,
+            program: &prep.fragment_program,
+            early_z_ok: prep.early_z_ok,
+            hz_ok: prep.hz_ok,
+            depth_state: self.depth_state,
+            blend: self.blend,
+            color_mask: self.color_mask,
+            alpha_test: self.alpha_test,
             width: self.config.width,
             height: self.config.height,
             z_compression: self.config.z_compression,
             color_compression: self.config.color_compression,
             zb_addr: self.zb_addr,
             cb_addr: self.cb_addr,
-            bindings: &bindings,
+            bindings: &self.tex_bindings,
             pool: &self.textures,
-            viewport,
+            viewport: self.viewport,
             cancel: self.cancel.as_ref(),
         };
-        let geom_req = geom.map(|a| {
-            geom_request(
-                &self.vertex_buffers,
-                &self.index_buffers,
-                &self.config,
-                self.geom_threads,
-                &self.vs_machine,
-                SetupState {
-                    viewport: self.viewport,
-                    cull: self.cull,
-                    front_face: self.front_face,
-                    stencil_front: self.stencil_front,
-                    stencil_back: self.stencil_back,
-                },
-                self.cancel.as_ref(),
-                a,
-            )
-        });
 
         let stripe_rows = self.config.stripe_rows;
         let height = self.config.height;
-        let jobs: Vec<StripeJob<'_>> = self
+        let mut jobs: Vec<StripeJob<'_>> = self
             .zbuffer
             .band_views(stripe_rows)
             .into_iter()
@@ -893,65 +668,54 @@ impl Gpu {
                 }
             })
             .collect();
-        let mut jobs = jobs;
-        if let Some(rings) = trace_rings.take() {
+        if let Some(rings) = trace_rings {
             for (job, ring) in jobs.iter_mut().zip(rings) {
-                job.trace = Some(StripeTrace { base: trace_base, ring, tiles: 0 });
+                job.trace = Some(StripeTrace { base: geom_end, ring, tiles: 0 });
             }
         }
 
         let workers = (self.threads as usize).min(jobs.len()).max(1);
-        let (mut outcomes, geom_out): (Vec<StripeOutcome>, Option<GeomOutput>) =
-            if workers == 1 && geom_req.is_none() {
-                // Serial path: the same per-stripe code, run inline in
-                // stripe order — parallel runs are bit-identical by
-                // construction.
-                let outcomes = jobs
+        let mut outcomes: Vec<StripeOutcome> = if workers == 1 {
+            // Serial path: the same per-stripe code, run inline in stripe
+            // order — parallel runs are bit-identical by construction.
+            jobs.into_iter()
+                .map(|mut job| {
+                    job.run(&packet);
+                    job.finish()
+                })
+                .collect()
+        } else {
+            // Interleaved assignment: worker w owns stripes w, w+W, … —
+            // purely a scheduling choice, invisible in the results.
+            let mut buckets: Vec<Vec<StripeJob<'_>>> = (0..workers).map(|_| Vec::new()).collect();
+            for (i, job) in jobs.into_iter().enumerate() {
+                buckets[i % workers].push(job);
+            }
+            std::thread::scope(|scope| {
+                let packet = &packet;
+                let handles: Vec<_> = buckets
                     .into_iter()
-                    .map(|mut job| {
-                        job.run(&packet);
-                        job.finish()
+                    .map(|bucket| {
+                        scope.spawn(move || {
+                            bucket
+                                .into_iter()
+                                .map(|mut job| {
+                                    job.run(packet);
+                                    job.finish()
+                                })
+                                .collect::<Vec<_>>()
+                        })
                     })
                     .collect();
-                (outcomes, None)
-            } else {
-                // Interleaved assignment: worker w owns stripes w, w+W, …
-                // — purely a scheduling choice, invisible in the results.
-                // With an overlap request, the stripes always go to worker
-                // threads (even one) so the main thread can run the next
-                // draw's geometry concurrently.
-                let mut buckets: Vec<Vec<StripeJob<'_>>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (i, job) in jobs.into_iter().enumerate() {
-                    buckets[i % workers].push(job);
-                }
-                std::thread::scope(|scope| {
-                    let packet = &packet;
-                    let handles: Vec<_> = buckets
-                        .into_iter()
-                        .map(|bucket| {
-                            scope.spawn(move || {
-                                bucket
-                                    .into_iter()
-                                    .map(|mut job| {
-                                        job.run(packet);
-                                        job.finish()
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    let geom_out = geom_req.as_ref().map(geometry::run);
-                    let outcomes = handles
-                        .into_iter()
-                        .flat_map(|h| match h.join() {
-                            Ok(outcomes) => outcomes,
-                            Err(panic) => std::panic::resume_unwind(panic),
-                        })
-                        .collect();
-                    (outcomes, geom_out)
-                })
-            };
+                handles
+                    .into_iter()
+                    .flat_map(|h| match h.join() {
+                        Ok(outcomes) => outcomes,
+                        Err(panic) => std::panic::resume_unwind(panic),
+                    })
+                    .collect()
+            })
+        };
         outcomes.sort_by_key(|o| o.index);
 
         // Deterministic reduction in stripe order: every merged quantity
@@ -995,18 +759,17 @@ impl Gpu {
         self.fs_machine.restore_stats(fs_total);
 
         if let Some(e) = fault {
-            return (Err(e), geom_out);
+            return Err(e);
         }
         if let Some((client, count)) = injected {
-            return (Err(SimError::MemoryFault { client, count }), geom_out);
+            return Err(SimError::MemoryFault { client, count });
         }
         // The draw retires: its span runs from its own start tick to its
-        // geometry end plus this flush's fragment ticks — the exact value
-        // the serial clock showed at this point.
+        // geometry end plus this flush's fragment ticks.
         if let Some(t) = self.telemetry.as_mut() {
-            t.record_draw(draw_start, geom_end + frag_ticks, tri_count);
+            t.record_draw(draw_start, self.tick, tri_count);
         }
-        (Ok(()), geom_out)
+        Ok(())
     }
 
     fn clear(&mut self, mask: ClearMask, color: Vec4, depth: f32, stencil: u8) {
@@ -1176,14 +939,6 @@ impl Gpu {
 impl Gpu {
     /// Executes one command; classified faults bubble up as [`SimError`].
     fn execute(&mut self, command: &Command) -> Result<(), SimError> {
-        // Commit the deferred fragment flush before any command that
-        // observes its effects. A fault it surfaces here classifies this
-        // command as faulted — under the pipeline's strict-policy gate
-        // that is the only divergence from the synchronous path, and only
-        // on streams that fault during fragment work.
-        if Self::needs_drain(command) {
-            self.drain_pending()?;
-        }
         match command {
             Command::CreateVertexBuffer { id, layout, data } => {
                 let bytes = (data.len() / layout.attributes.max(1) as usize) as u64
@@ -1443,7 +1198,6 @@ impl Gpu {
             "checkpoints are only taken at frame boundaries"
         );
         debug_assert!(self.vcache.is_empty(), "vertex cache drains at frame boundaries");
-        debug_assert!(self.pending.is_none(), "draw pipeline drains at frame boundaries");
         debug_assert_eq!(self.vs_prev, *self.vs_machine.stats());
         debug_assert_eq!(self.fs_prev, *self.fs_machine.stats());
 

@@ -1,12 +1,11 @@
 //! Per-frame and whole-run simulator statistics.
 
 use gwc_stats::TimeSeries;
-use serde::{Deserialize, Serialize};
 
 use crate::error::FaultKind;
 
 /// Raw counters for one simulated frame.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FrameSimStats {
     // ---- geometry pipeline ----
     /// Indices fetched (Figure 6 "indices").
@@ -243,7 +242,7 @@ impl FrameSimStats {
 
 /// Whole-run statistics: totals plus the per-frame series behind the
 /// paper's figures.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     total: FrameSimStats,
     frames: Vec<FrameSimStats>,

@@ -2,7 +2,6 @@
 //! vertex cache.
 
 use gwc_raster::ShadedVertex;
-use serde::{Deserialize, Serialize};
 
 /// The post-transform vertex cache.
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Modelled as a FIFO of `entries` slots tagged by vertex index, matching
 /// the FIFO replacement of real post-T caches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VertexCache {
     entries: Vec<(u32, ShadedVertex)>,
     capacity: usize,

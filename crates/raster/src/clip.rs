@@ -8,12 +8,11 @@
 //! vertices with `w <= 0` cannot be projected.
 
 use gwc_math::{Containment, Frustum};
-use serde::{Deserialize, Serialize};
 
 use crate::vertex::ShadedVertex;
 
 /// Outcome of the clipper stage for one triangle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ClipResult {
     /// Entirely outside the frustum — discarded (counted in Table VII's
     /// "% clipped").

@@ -6,8 +6,6 @@
 //! Table IX credits HZ with removing 34–42% of all quads, saving
 //! "quite significant" GDDR bandwidth.
 
-use serde::{Deserialize, Serialize};
-
 use crate::state::CompareFunc;
 use crate::zbuffer::{DepthStencilBuffer, ZBandView};
 
@@ -18,7 +16,7 @@ use crate::zbuffer::{DepthStencilBuffer, ZBandView};
 /// marks the block dirty, and the next HZ test against a dirty block
 /// recomputes the bound (modelling the z-cache → HZ feedback path of real
 /// hardware).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HzBuffer {
     blocks_x: u32,
     blocks_y: u32,

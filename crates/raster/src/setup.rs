@@ -2,7 +2,6 @@
 //! interpolation.
 
 use gwc_math::{Vec2, Vec4};
-use serde::{Deserialize, Serialize};
 
 use crate::state::{CullMode, FrontFace};
 use crate::vertex::{viewport_transform, ShadedVertex, Viewport, MAX_VARYINGS};
@@ -14,7 +13,7 @@ use crate::vertex::{viewport_transform, ShadedVertex, Viewport, MAX_VARYINGS};
 /// The simulated GPU's triangle setup unit produces exactly this (at the
 /// paper's Table II rate of 2 triangles/cycle); the tiled traversal then
 /// evaluates the edge equations hierarchically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TriangleSetup {
     /// Screen-space x per vertex.
     sx: [f64; 3],

@@ -1,14 +1,12 @@
 //! Fixed-function pipeline state shared between the API layer and the
 //! rasterization/ROP stages.
 
-use serde::{Deserialize, Serialize};
-
 /// Primitive topologies the games of Table V use.
 ///
 /// OpenGL and Direct3D offer more (points, lines, polygons, quads), but the
 /// paper observes the benchmarks use exclusively triangle lists, strips and
 /// fans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrimitiveType {
     /// Independent triangles: 3 indices each.
     TriangleList,
@@ -59,7 +57,7 @@ impl PrimitiveType {
 }
 
 /// Comparison functions for depth, stencil and alpha tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CompareFunc {
     /// Never passes.
     Never,
@@ -98,7 +96,7 @@ impl CompareFunc {
 }
 
 /// Stencil update operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StencilOp {
     /// Leave the stencil value unchanged.
     #[default]
@@ -137,7 +135,7 @@ impl StencilOp {
 }
 
 /// Depth test configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DepthState {
     /// Depth test enabled.
     pub test: bool,
@@ -155,7 +153,7 @@ impl Default for DepthState {
 
 /// Stencil test configuration (single-face; two-sided stencil is modelled
 /// by the pipeline binding different state per facing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StencilState {
     /// Stencil test enabled.
     pub test: bool,
@@ -188,7 +186,7 @@ impl Default for StencilState {
 }
 
 /// Triangle facings to cull.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CullMode {
     /// Cull nothing.
     None,
@@ -200,7 +198,7 @@ pub enum CullMode {
 }
 
 /// Which screen-space winding counts as front-facing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FrontFace {
     /// Counter-clockwise (the GL default).
     #[default]
@@ -210,7 +208,7 @@ pub enum FrontFace {
 }
 
 /// Blend factors (the subset 2005-era games use).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlendFactor {
     /// 0
     Zero,
@@ -227,7 +225,7 @@ pub enum BlendFactor {
 }
 
 /// Blend configuration: `out = src * src_factor + dst * dst_factor`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlendState {
     /// Blending enabled (otherwise source replaces destination).
     pub enabled: bool,

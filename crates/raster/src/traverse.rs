@@ -5,15 +5,13 @@
 //! a lower level generating each cycle 8×8 fragment tiles. These tiles are
 //! then … partitioned into 2×2 fragment tiles, called quads."
 
-use serde::{Deserialize, Serialize};
-
 use crate::setup::TriangleSetup;
 use crate::vertex::Viewport;
 
 /// A 2×2 fragment quad, the working unit of the fragment pipeline.
 ///
 /// Lane order is `[(x,y), (x+1,y), (x,y+1), (x+1,y+1)]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quad {
     /// X of the top-left pixel (always even).
     pub x: u32,
@@ -45,7 +43,7 @@ impl Quad {
 }
 
 /// Counters produced by rasterizing triangles (per frame or per batch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RasterStats {
     /// Covered fragments generated.
     pub fragments: u64,

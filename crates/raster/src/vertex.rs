@@ -1,14 +1,13 @@
 //! Post-shading vertices and the viewport transform.
 
 use gwc_math::{Vec3, Vec4};
-use serde::{Deserialize, Serialize};
 
 /// Number of varying registers carried from vertex to fragment programs.
 pub const MAX_VARYINGS: usize = 7;
 
 /// A vertex after vertex-program execution: a clip-space position plus the
 /// varyings written to `o1..o7`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShadedVertex {
     /// Clip-space position (the vertex program's `o0`).
     pub clip: Vec4,
@@ -35,7 +34,7 @@ impl ShadedVertex {
 }
 
 /// The render target rectangle and depth range.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Viewport {
     /// Width in pixels.
     pub width: u32,

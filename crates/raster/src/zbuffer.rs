@@ -1,12 +1,10 @@
 //! The depth/stencil buffer with the full test-and-op semantics the
 //! stencil-shadow games exercise.
 
-use serde::{Deserialize, Serialize};
-
 use crate::state::{DepthState, StencilState};
 
 /// Outcome of the combined Z & stencil test for one fragment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ZResult {
     /// Stencil test failed (fragment culled; `fail` op applied).
     StencilFail,
@@ -59,7 +57,7 @@ fn test_pixel(
 ///
 /// This is the *architectural state*; bandwidth, caching and compression of
 /// the surface are modelled by the pipeline on top.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DepthStencilBuffer {
     width: u32,
     height: u32,

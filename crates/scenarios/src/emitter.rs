@@ -16,7 +16,7 @@ use gwc_raster::{
 };
 use gwc_texture::{FilterMode, Image, SamplerState, TexFormat, WrapMode};
 use gwc_workloads::mesh::{self, Mesh, ATTRIBS};
-use gwc_workloads::{shaders, GameProfile, ProfileBuilder, SceneKind};
+use gwc_workloads::{name_seed_hash, shaders, GameProfile, ProfileBuilder, SceneKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -113,19 +113,15 @@ pub struct ScenarioDemo {
 }
 
 impl ScenarioDemo {
-    /// Creates a generator for `spec`. The RNG is seeded from the FNV-1a
-    /// hash of the scenario name XOR the config seed, so every
-    /// (scenario, seed) pair is a distinct deterministic stream.
+    /// Creates a generator for `spec`. The RNG is seeded from
+    /// [`name_seed_hash`] of the scenario name XOR the config seed, so
+    /// every (scenario, seed) pair is a distinct deterministic stream.
     pub fn new(spec: ScenarioSpec, config: ScenarioConfig) -> Self {
-        let name = spec.name();
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for b in name.bytes() {
-            hash = (hash ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
+        let seed = name_seed_hash(&spec.name()) ^ config.seed;
         ScenarioDemo {
             spec,
             config,
-            rng: StdRng::seed_from_u64(hash ^ config.seed),
+            rng: StdRng::seed_from_u64(seed),
             world: None,
             setup_done: false,
         }

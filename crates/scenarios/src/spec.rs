@@ -13,10 +13,8 @@
 //! [`ScenarioSpec::parse`], so a scenario travels through job manifests as
 //! a plain string exactly like a Table I game name.
 
-use serde::{Deserialize, Serialize};
-
 /// Scene archetype: the geometry and surface behaviour of the world.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Archetype {
     /// Indoor corridor: a room plus screen-filling wall layers — high
     /// depth complexity.
@@ -61,7 +59,7 @@ impl Archetype {
 }
 
 /// Frame/pass structure of the renderer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RenderStyle {
     /// Depth-only prepass then one color pass.
     Prepass,
@@ -101,7 +99,7 @@ impl RenderStyle {
 }
 
 /// Submission style at the API level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ApiStyle {
     /// Material-sorted submission, state bound once per group.
     Sorted,
@@ -135,7 +133,7 @@ impl ApiStyle {
 }
 
 /// One point in scenario space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ScenarioSpec {
     /// Scene archetype.
     pub archetype: Archetype,

@@ -7,14 +7,13 @@
 //! helper (dead) lanes still execute so derivatives stay valid.
 
 use gwc_math::Vec4;
-use serde::{Deserialize, Serialize};
 
 use crate::isa::{Instr, Opcode, RegFile, Src};
 use crate::program::{Program, ProgramKind, MAX_CONSTANTS, MAX_OUTPUTS, MAX_TEMPS};
 
 /// Dynamic execution statistics (the microarchitectural complement of the
 /// static Table IV / XII counts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStats {
     /// Instructions executed (per vertex or per quad, not per lane).
     pub instructions: u64,
@@ -41,7 +40,7 @@ impl ExecStats {
 }
 
 /// A quad texture request handed to the texture unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TextureRequest {
     /// Texture unit index.
     pub unit: u8,
@@ -66,7 +65,7 @@ pub trait QuadSampler {
 /// A sampler that returns a fixed color — useful for tests and for
 /// API-level (non-simulated) statistics runs where texel values don't
 /// matter.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NullSampler {
     /// The color returned for every sample.
     pub color: Vec4,
@@ -79,7 +78,7 @@ impl QuadSampler for NullSampler {
 }
 
 /// Result of running a fragment program on one quad.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FragmentQuadResult {
     /// Output color (`o0`) per lane.
     pub color: [Vec4; 4],
@@ -94,7 +93,7 @@ pub struct FragmentQuadResult {
 /// One machine is shared by all programs of a device; constants are bound
 /// before each draw (they model the ARB "program environment/local
 /// parameters").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShaderMachine {
     constants: Vec<Vec4>,
     stats: ExecStats,

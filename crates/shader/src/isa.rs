@@ -1,9 +1,7 @@
 //! Instruction set definition.
 
-use serde::{Deserialize, Serialize};
-
 /// Register file a register index refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegFile {
     /// Input attributes: vertex attributes for vertex programs,
     /// interpolants for fragment programs.
@@ -18,7 +16,7 @@ pub enum RegFile {
 }
 
 /// A register reference: a file plus an index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg {
     /// Which register file.
     pub file: RegFile,
@@ -50,7 +48,7 @@ impl Reg {
 
 /// A four-component swizzle. Each element selects a source component
 /// (0 = x … 3 = w).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Swizzle(pub [u8; 4]);
 
 impl Swizzle {
@@ -78,7 +76,7 @@ impl Default for Swizzle {
 }
 
 /// A source operand: register, swizzle, optional negation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Src {
     /// Source register.
     pub reg: Reg,
@@ -123,7 +121,7 @@ impl Src {
 }
 
 /// Destination component write mask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WriteMask(pub [bool; 4]);
 
 impl WriteMask {
@@ -147,7 +145,7 @@ impl Default for WriteMask {
 ///
 /// The set mirrors the ARB vertex/fragment program ISA that 2004–2006 games
 /// target. `Tex*` opcodes and `Kil` are fragment-only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// `dst = src0`
     Mov,
@@ -236,7 +234,7 @@ impl Opcode {
 }
 
 /// One shader instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instr {
     /// Operation.
     pub op: Opcode,

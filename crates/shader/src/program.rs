@@ -1,11 +1,9 @@
 //! Shader program container and validation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::isa::{Instr, Opcode, RegFile};
 
 /// Which pipeline stage a program runs at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProgramKind {
     /// Vertex program: transforms one vertex; `o0` is the clip-space
     /// position, `o1..` are varyings.
@@ -16,7 +14,7 @@ pub enum ProgramKind {
 }
 
 /// Errors produced by [`Program::new`] validation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgramError {
     /// A program must contain at least one instruction.
     Empty,
@@ -70,7 +68,7 @@ pub(crate) const MAX_TEX_UNITS: u8 = 16;
 /// [`Program::texture_count`], [`Program::alu_count`]) are what the paper's
 /// Tables IV and XII report, and [`Program::uses_kill`] feeds the early-z
 /// eligibility decision in the pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     kind: ProgramKind,
     name: String,

@@ -4,8 +4,6 @@
 //! assumed frame rate (`BW @ 100fps` in Tables III and XV). These helpers
 //! centralize those conversions and their display formatting.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes in a megabyte (the paper uses decimal-ish MB for bandwidth; we use
 /// binary MiB consistently, which only shifts absolute numbers by ~5%).
 pub const MB: f64 = 1024.0 * 1024.0;
@@ -91,7 +89,7 @@ pub fn system_bus_table() -> Vec<(&'static str, u32, f64, f64)> {
 /// assert_eq!(a.bytes(), 320);
 /// assert_eq!(a.transactions(), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BandwidthCounter {
     bytes: u64,
     transactions: u64,

@@ -11,8 +11,6 @@
 //! The inputs are plain numbers, not simulator types: this crate stays a
 //! leaf, and any counter source (the pipeline, a trace, a CSV) can feed it.
 
-use serde::{Deserialize, Serialize};
-
 /// Names of the vector components, in storage order.
 ///
 /// The order is part of the CSV format: changing it invalidates persisted
@@ -47,7 +45,7 @@ pub const FEATURE_COUNT: usize = FEATURE_NAMES.len();
 ///
 /// All fields are totals over the run (not per-frame), except the
 /// pre-divided cache hit rates and bandwidth shares.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FeatureInputs {
     /// Frames in the run.
     pub frames: f64,
@@ -110,7 +108,7 @@ fn ratio(num: f64, den: f64) -> f64 {
 }
 
 /// One workload's architecture-independent feature vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureVector {
     /// Display label (scenario name plus seed, or game name).
     pub label: String,
@@ -199,7 +197,7 @@ impl FeatureVector {
 }
 
 /// A scenario's distance to its nearest reference workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ranking {
     /// The scenario label.
     pub label: String,

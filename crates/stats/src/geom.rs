@@ -8,8 +8,6 @@
 //! [`crate::BandwidthCounter`] honors for memory traffic. Everything is
 //! an integral count; no chunk size or thread count can perturb a sum.
 
-use serde::{Deserialize, Serialize};
-
 /// Applies a macro to every counter field of [`GeomShard`].
 ///
 /// Single authoritative field list: merge, totals and tests all expand
@@ -41,7 +39,7 @@ macro_rules! define_shard {
         /// `vertex_bytes` from the chunked vertex-shade phase, and
         /// `assembled`/`clipped`/`culled`/`setup` from the chunked
         /// clip/cull/triangle-setup phase.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
         pub struct GeomShard {
             $(
                 #[allow(missing_docs)]

@@ -1,7 +1,5 @@
 //! Fixed-width-bin histograms.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram with `bins` equal-width buckets spanning `[lo, hi)`, plus
 /// underflow/overflow buckets.
 ///
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.count(), 5);
 /// assert_eq!(h.overflow(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

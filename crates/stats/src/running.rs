@@ -1,7 +1,5 @@
 //! Streaming summary statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// A streaming accumulator of count, sum, mean, min and max.
 ///
 /// ```
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.min(), 1.0);
 /// assert_eq!(s.max(), 3.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningStat {
     count: u64,
     sum: f64,

@@ -1,7 +1,5 @@
 //! Per-frame time series (the raw material of the paper's figures).
 
-use serde::{Deserialize, Serialize};
-
 use crate::RunningStat;
 
 /// A named per-frame series of values.
@@ -9,7 +7,7 @@ use crate::RunningStat;
 /// The paper plots several metrics frame by frame (batches per frame, index
 /// bandwidth per frame, vertex cache hit rate, …). A `TimeSeries` collects
 /// one value per frame and offers the summary statistics the tables report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     name: String,
     values: Vec<f64>,

@@ -1,9 +1,7 @@
 //! Aligned ASCII / CSV table rendering.
 
-use serde::{Deserialize, Serialize};
-
 /// Column alignment for [`Table`] rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Align {
     /// Left-aligned (labels).
     #[default]
@@ -23,7 +21,7 @@ pub enum Align {
 /// let s = t.to_ascii();
 /// assert!(s.contains("Doom3"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     title: String,
     headers: Vec<String>,

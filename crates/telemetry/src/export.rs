@@ -218,9 +218,9 @@ pub const BINARY_MAGIC: [u8; 4] = *b"GWTB";
 /// GWTB container version.
 pub const BINARY_VERSION: u16 = 1;
 
-// IEEE CRC-32, same polynomial as the GWCK checkpoint container. The
-// table is tiny and const-built, so a local copy beats widening the
-// checkpoint module's crate-private API across crate boundaries.
+// IEEE CRC-32 (reflected). This crate has no dependencies, so it hosts
+// the workspace's one copy: the GWCK checkpoint container, the harness
+// manifest and the server WAL all call it.
 const CRC_TABLE: [u32; 256] = build_crc_table();
 
 const fn build_crc_table() -> [u32; 256] {
@@ -497,6 +497,8 @@ mod tests {
 
     #[test]
     fn crc32_known_vector() {
+        // The empty input and the canonical CRC-32 check value.
+        assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }

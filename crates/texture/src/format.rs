@@ -1,13 +1,11 @@
 //! Texture storage formats.
 
-use serde::{Deserialize, Serialize};
-
 /// Texture storage formats supported by the simulator.
 ///
 /// The paper notes the three simulated benchmarks compress "most of the
 /// texture data" as DXT1/DXT3/DXT5, which together with the texture cache
 /// cuts texture bandwidth "almost to a tenth" of the uncompressed cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TexFormat {
     /// 8-bit RGBA, 4 bytes per texel, uncompressed.
     Rgba8,

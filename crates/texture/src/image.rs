@@ -1,12 +1,10 @@
 //! CPU-side RGBA images: the source data textures are built from.
 
-use serde::{Deserialize, Serialize};
-
 /// An RGBA8 image in row-major order.
 ///
 /// Images are the input to [`Texture::from_image`](crate::Texture::from_image)
 /// and also serve as mip-level storage after decoding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
     width: u32,
     height: u32,

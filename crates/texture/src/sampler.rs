@@ -2,12 +2,11 @@
 //! bilinear-throughput accounting.
 
 use gwc_math::{Vec2, Vec4};
-use serde::{Deserialize, Serialize};
 
 use crate::{TexelAddress, Texture};
 
 /// Texture coordinate wrap modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WrapMode {
     /// Repeat (tile) the texture.
     #[default]
@@ -43,7 +42,7 @@ impl WrapMode {
 ///
 /// Table XIII of the paper hinges on the *dynamic* cost of these filters:
 /// bilinear = 1 sample/cycle, trilinear = 2, anisotropic up to `2 × N`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterMode {
     /// Nearest texel of the nearest mip level.
     Nearest,
@@ -58,7 +57,7 @@ pub enum FilterMode {
 }
 
 /// Sampler configuration bound alongside a texture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplerState {
     /// Wrap mode for both axes.
     pub wrap: WrapMode,
@@ -82,7 +81,7 @@ pub trait TexelTracker {
 }
 
 /// A tracker that ignores all fetches (API-level runs, tests).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopTracker;
 
 impl TexelTracker for NoopTracker {
@@ -90,7 +89,7 @@ impl TexelTracker for NoopTracker {
 }
 
 /// Aggregate filtering statistics (feeds Table XIII).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SampleStats {
     /// Texture requests (one per live fragment per texture instruction).
     pub requests: u64,

@@ -1,7 +1,6 @@
 //! GPU-resident textures with mip chains and dual addressing.
 
 use gwc_mem::AddressSpace;
-use serde::{Deserialize, Serialize};
 
 use crate::{dxt, Image, TexFormat};
 
@@ -11,7 +10,7 @@ use crate::{dxt, Image, TexFormat};
 /// in L0 and *compressed* blocks in L1, so every texel is identified by an
 /// address in each space. Both ranges are allocated from the simulation's
 /// virtual [`AddressSpace`]; only uniqueness matters for cache tags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TexelAddress {
     /// Address in decompressed-texel space (L0 cache key).
     pub uncompressed: u64,
@@ -20,7 +19,7 @@ pub struct TexelAddress {
     pub compressed: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct MipLevel {
     image: Image,
     base_uncompressed: u64,
@@ -34,7 +33,7 @@ struct MipLevel {
 /// For compressed formats the stored texels are the *decode of the encode*
 /// of the source image, so sampling returns exactly the colors hardware
 /// would see, compression artifacts included.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Texture {
     format: TexFormat,
     levels: Vec<MipLevel>,

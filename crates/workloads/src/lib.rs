@@ -31,4 +31,4 @@ mod profiles;
 mod timedemo;
 
 pub use profiles::{GameProfile, ProfileBuilder, SceneKind};
-pub use timedemo::{Timedemo, TimedemoConfig};
+pub use timedemo::{name_seed_hash, Timedemo, TimedemoConfig};

@@ -5,14 +5,13 @@
 //! attribute slots per vertex.
 
 use gwc_math::{Vec3, Vec4};
-use serde::{Deserialize, Serialize};
 
 /// Attribute slots per vertex (position, normal, uv).
 pub const ATTRIBS: u8 = 3;
 
 /// A generated mesh: interleaved vertex data plus 32-bit indices
 /// (narrowed to 16-bit by the caller when the engine uses short indices).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Mesh {
     /// `vertex_count × ATTRIBS` interleaved attributes.
     pub vertices: Vec<Vec4>,

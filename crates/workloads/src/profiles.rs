@@ -2,10 +2,9 @@
 //! per-table parameters.
 
 use gwc_api::GraphicsApi;
-use serde::{Deserialize, Serialize};
 
 /// Broad scene style, controlling the synthetic world generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SceneKind {
     /// Indoor corridors and rooms (Doom3, Quake4, Riddick, FEAR).
     Indoor,
@@ -16,7 +15,7 @@ pub enum SceneKind {
 }
 
 /// One timedemo's published characteristics (Tables I, III, IV, V, XII).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GameProfile {
     /// "Game/Timedemo" label, e.g. `"Doom3/trdemo2"`.
     pub name: &'static str,

@@ -8,14 +8,13 @@ use gwc_raster::{BlendFactor, BlendState, CompareFunc, CullMode, DepthState, Fro
 use gwc_texture::{FilterMode, Image, SamplerState, TexFormat, WrapMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::mesh::{self, Mesh, ATTRIBS};
 use crate::profiles::{GameProfile, SceneKind};
 use crate::shaders;
 
 /// Generation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedemoConfig {
     /// Frames to generate (the paper's timedemos run 576–3990 frames;
     /// microarchitectural runs use a small window).
@@ -31,7 +30,7 @@ impl Default for TimedemoConfig {
 }
 
 /// One drawable slice of the scene pools.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DrawSlice {
     vb: u32,
     ib: u32,
@@ -49,7 +48,7 @@ const VOLUME_DIV: f64 = 4.0;
 const MATERIALS: u8 = 8;
 
 /// Per-profile scene tuning: targets the simulated Tables VII, IX and XI.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SceneParams {
     /// Visible geometry depth complexity per pass (drives Table XI).
     depth_complexity: f64,
@@ -116,7 +115,7 @@ fn scene_params(profile: &GameProfile) -> SceneParams {
 const FOV: f64 = 1.31;
 
 /// Derived per-frame pass structure (solved from Table III/XII targets).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PassPlan {
     /// Geometry batches per frame (average).
     geo_batches: f64,
@@ -207,6 +206,19 @@ pub struct Timedemo {
     fs_tex_share: f64,
 }
 
+/// The per-name base of a generator's RNG seed (XORed with the config
+/// seed). An xor-multiply hash over the name's bytes that starts from the
+/// FNV-1a offset basis but multiplies by `0x1000_0000_01b3` — not the FNV
+/// prime `0x100_0000_01b3` — so it is *not* FNV-1a. Every generated
+/// stream, golden table and benchmark digest depends on this exact value.
+pub fn name_seed_hash(name: &str) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for b in name.bytes() {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+    }
+    hash
+}
+
 impl Timedemo {
     /// Program/buffer id bases (texture ids grow unbounded for transition
     /// spikes, so they allocate from the top).
@@ -219,10 +231,6 @@ impl Timedemo {
 
     /// Creates a generator for a profile.
     pub fn new(profile: &'static GameProfile, config: TimedemoConfig) -> Self {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for b in profile.name.bytes() {
-            hash = (hash ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
         let plan = solve_plan(profile);
         Timedemo {
             profile,
@@ -231,7 +239,7 @@ impl Timedemo {
             geometry: Vec::new(),
             volumes: Vec::new(),
             backdrops: Vec::new(),
-            rng: StdRng::seed_from_u64(hash ^ config.seed),
+            rng: StdRng::seed_from_u64(name_seed_hash(profile.name) ^ config.seed),
             next_texture_id: 0,
             batch_coverage: 0.02,
             setup_done: false,
@@ -995,6 +1003,12 @@ impl PoolBuilder {
 mod tests {
     use super::*;
     use gwc_api::{ApiStats, Device, DeviceError};
+
+    #[test]
+    fn name_seed_hash_known_values() {
+        assert_eq!(name_seed_hash(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(name_seed_hash("Doom3/trdemo2"), 0xcaf5_9fc4_5134_20db);
+    }
 
     /// A sink that validates every command through a [`Device`].
     struct Validator {

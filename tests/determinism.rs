@@ -27,6 +27,13 @@ fn config_with_threads(width: u32, height: u32, threads: u32) -> GpuConfig {
     config
 }
 
+/// As [`config_with_threads`], with an explicit geometry worker count.
+fn config_with_split(width: u32, height: u32, geom_threads: u32, frag_threads: u32) -> GpuConfig {
+    let mut config = config_with_threads(width, height, frag_threads);
+    config.geometry_threads = geom_threads;
+    config
+}
+
 /// Replays a trace on `threads` workers and returns the final GPU.
 fn run(trace: &Trace, width: u32, height: u32, threads: u32) -> Gpu {
     run_striped(trace, width, height, threads, 32)
@@ -114,28 +121,36 @@ fn checkpoint_restore_mid_run_is_thread_count_invariant() {
 /// A checkpoint written by a serial run restores into a parallel run (and
 /// vice versa): the blob records the stripe layout, not the worker count,
 /// so `repro replay --resume` with any `GWC_THREADS` lands in the same
-/// partitioning and replays bit-identically.
+/// partitioning and replays bit-identically — also when geometry and
+/// fragment workers are split unequally on either side of the resume.
 #[test]
 fn resume_across_thread_counts_is_bit_identical() {
     let trace = record("Riddick/PrisonArea", 4);
     let serial = run(&trace, 96, 72, 1);
     let reference = serial.save_checkpoint();
 
-    // Serial head, parallel tail — and the reverse.
-    for (head_threads, tail_threads) in [(1, 8), (8, 1), (2, 4)] {
-        let mut head = Gpu::new(config_with_threads(96, 72, head_threads));
+    // (geometry, fragment) workers for the head and the tail: serial head,
+    // parallel tail — and the reverse — then unequal splits.
+    for ((head_gt, head_ft), (tail_gt, tail_ft)) in [
+        ((1, 1), (8, 8)),
+        ((8, 8), (1, 1)),
+        ((2, 2), (4, 4)),
+        ((4, 2), (1, 1)),
+        ((2, 4), (8, 1)),
+    ] {
+        let mut head = Gpu::new(config_with_split(96, 72, head_gt, head_ft));
         trace.replay_frames(2, &mut head);
         let blob = head.save_checkpoint();
 
-        let mut tail = Gpu::restore_checkpoint(config_with_threads(96, 72, tail_threads), &blob)
-            .expect("thread count is not part of the persistent state");
-        assert_eq!(tail.threads(), tail_threads);
+        let mut tail =
+            Gpu::restore_checkpoint(config_with_split(96, 72, tail_gt, tail_ft), &blob)
+                .expect("thread counts are not part of the persistent state");
+        assert_eq!((tail.geometry_threads(), tail.threads()), (tail_gt, tail_ft));
         trace.replay_from(2, &mut tail);
-        assert_eq!(
-            reference,
-            tail.save_checkpoint(),
-            "head at {head_threads} threads, tail at {tail_threads} threads"
-        );
+        let tag = format!("head geom={head_gt}/frag={head_ft}, tail geom={tail_gt}/frag={tail_ft}");
+        assert_eq!(serial.stats(), tail.stats(), "{tag}: SimStats drifted");
+        assert_eq!(serial.framebuffer_crc(), tail.framebuffer_crc(), "{tag}: framebuffer");
+        assert_eq!(reference, tail.save_checkpoint(), "{tag}: checkpoint bytes");
     }
 }
 
@@ -143,16 +158,10 @@ fn resume_across_thread_counts_is_bit_identical() {
 
 use gwc::telemetry::{export, Level};
 
-/// Replays `trace` with a telemetry collector attached at `level` and
-/// returns the GPU plus the detached collector.
-fn run_traced(
-    trace: &Trace,
-    width: u32,
-    height: u32,
-    threads: u32,
-    level: Level,
-) -> (Gpu, gwc::telemetry::Collector) {
-    let mut gpu = Gpu::new(config_with_threads(width, height, threads));
+/// Replays `trace` under `config` with a telemetry collector attached at
+/// `level` and returns the GPU plus the detached collector.
+fn run_traced(trace: &Trace, config: GpuConfig, level: Level) -> (Gpu, gwc::telemetry::Collector) {
+    let mut gpu = Gpu::new(config);
     gpu.enable_telemetry(level, "determinism-test", 256);
     trace.replay(&mut gpu);
     let collector = gpu.take_telemetry().expect("collector attached above");
@@ -170,7 +179,7 @@ fn telemetry_does_not_change_simulation_results() {
         let bare = run(&trace, 96, 72, 1);
         let reference = bare.save_checkpoint();
         for level in [Level::Off, Level::Counters, Level::Spans] {
-            let (gpu, _) = run_traced(&trace, 96, 72, 1, level);
+            let (gpu, _) = run_traced(&trace, config_with_threads(96, 72, 1), level);
             assert_eq!(bare.stats(), gpu.stats(), "{name}: SimStats drifted at {level:?}");
             assert_eq!(
                 bare.framebuffer_crc(),
@@ -187,30 +196,25 @@ fn telemetry_does_not_change_simulation_results() {
 }
 
 /// The exported trace artifacts are keyed by work ticks, not wall time or
-/// scheduling, so every worker count produces the same bytes.
+/// scheduling, so every worker count — including unequal geometry and
+/// fragment splits — produces the same bytes.
 #[test]
 fn exported_traces_are_thread_count_invariant() {
     let trace = record("Doom3/trdemo2", 3);
-    let (_, serial) = run_traced(&trace, 96, 72, 1, Level::Spans);
+    let (_, serial) = run_traced(&trace, config_with_threads(96, 72, 1), Level::Spans);
     let reference = (
         export::chrome_json(&serial),
         export::frames_csv(&serial),
         export::binary(&serial),
     );
     export::validate_binary(&reference.2).expect("binary round-trips");
-    for threads in [2, 4] {
-        let (_, parallel) = run_traced(&trace, 96, 72, threads, Level::Spans);
-        assert_eq!(
-            reference.0,
-            export::chrome_json(&parallel),
-            "{threads} threads: Chrome JSON drifted"
-        );
-        assert_eq!(
-            reference.1,
-            export::frames_csv(&parallel),
-            "{threads} threads: frames CSV drifted"
-        );
-        assert_eq!(reference.2, export::binary(&parallel), "{threads} threads: binary drifted");
+    for (geom_threads, frag_threads) in [(2, 2), (4, 4), (2, 4), (8, 2)] {
+        let config = config_with_split(96, 72, geom_threads, frag_threads);
+        let (_, parallel) = run_traced(&trace, config, Level::Spans);
+        let tag = format!("geom={geom_threads} frag={frag_threads}");
+        assert_eq!(reference.0, export::chrome_json(&parallel), "{tag}: Chrome JSON drifted");
+        assert_eq!(reference.1, export::frames_csv(&parallel), "{tag}: frames CSV drifted");
+        assert_eq!(reference.2, export::binary(&parallel), "{tag}: binary drifted");
     }
 }
 
@@ -257,134 +261,35 @@ fn resumed_tail_traces_are_bit_identical() {
 
 // ---- geometry front-end determinism -----------------------------------
 
-fn geom_config(
-    width: u32,
-    height: u32,
-    geom_threads: u32,
-    frag_threads: u32,
-    chunk: u32,
-    pipeline: bool,
-) -> GpuConfig {
-    let mut config = config_with_threads(width, height, frag_threads);
+/// Replays `trace` under an explicit geometry/fragment worker split.
+fn run_geom(trace: &Trace, width: u32, height: u32, geom_threads: u32, frag_threads: u32) -> Gpu {
+    let mut config = config_with_split(width, height, geom_threads, frag_threads);
     config.stripe_rows = 16;
-    config.geometry_threads = geom_threads;
-    config.geometry_chunk = chunk;
-    config.frame_pipeline = pipeline;
-    config
-}
-
-/// Replays `trace` under an explicit geometry configuration.
-fn run_geom(
-    trace: &Trace,
-    width: u32,
-    height: u32,
-    geom_threads: u32,
-    frag_threads: u32,
-    chunk: u32,
-    pipeline: bool,
-) -> Gpu {
-    let mut gpu = Gpu::new(geom_config(width, height, geom_threads, frag_threads, chunk, pipeline));
+    let mut gpu = Gpu::new(config);
     assert_eq!(gpu.geometry_threads(), geom_threads, "explicit geometry thread count wins");
     trace.replay(&mut gpu);
     gpu
 }
 
 /// The chunked geometry front end is bit-identical to the serial path for
-/// every point of the geometry-threads × fragment-threads × chunk-size
-/// matrix. The full 16-point matrix is spread round-robin across the
-/// twelve game profiles (each combo lands on a different profile, every
-/// profile is exercised), because chunk partitioning is fixed by
-/// `geometry_chunk` — never by who executes the chunks.
+/// every point of the geometry-threads × fragment-threads matrix. Each of
+/// the eight points runs on its own game profile, because chunk
+/// partitioning is fixed by the chunk size — never by who executes the
+/// chunks. (`all_twelve_profiles_are_thread_count_invariant` runs every
+/// profile with parallel geometry.)
 #[test]
 fn geometry_thread_matrix_is_bit_identical() {
-    let profiles = GameProfile::all();
-    let mut traces: Vec<Option<(Trace, Gpu)>> = (0..profiles.len()).map(|_| None).collect();
-    let mut combos = Vec::new();
-    for geom_threads in [1, 2, 4, 8] {
-        for frag_threads in [1, 4] {
-            for chunk in [16, 64] {
-                combos.push((geom_threads, frag_threads, chunk));
-            }
-        }
-    }
-    for (i, (geom_threads, frag_threads, chunk)) in combos.into_iter().enumerate() {
-        let slot = i % profiles.len();
-        let name = profiles[slot].name;
-        if traces[slot].is_none() {
-            let trace = record(name, 2);
-            // Reference: serial geometry, serial fragments, default chunk.
-            let serial = run_geom(&trace, 64, 48, 1, 1, 64, false);
-            traces[slot] = Some((trace, serial));
-        }
-        let (trace, serial) = traces[slot].as_ref().unwrap();
-        let parallel = run_geom(trace, 64, 48, geom_threads, frag_threads, chunk, false);
-        let tag = format!("{name}: geom={geom_threads} frag={frag_threads} chunk={chunk}");
+    let combos = [1, 2, 4, 8].into_iter().flat_map(|g| [(g, 1), (g, 4)]);
+    for (profile, (geom_threads, frag_threads)) in GameProfile::all().iter().zip(combos) {
+        let name = profile.name;
+        let trace = record(name, 2);
+        // Reference: serial geometry, serial fragments.
+        let serial = run_geom(&trace, 64, 48, 1, 1);
+        let parallel = run_geom(&trace, 64, 48, geom_threads, frag_threads);
+        let tag = format!("{name}: geom={geom_threads} frag={frag_threads}");
         assert_eq!(serial.stats(), parallel.stats(), "{tag}: SimStats drifted");
         assert_eq!(serial.framebuffer_crc(), parallel.framebuffer_crc(), "{tag}: framebuffer");
         assert_eq!(serial.save_checkpoint(), parallel.save_checkpoint(), "{tag}: checkpoint");
-    }
-}
-
-/// Frame pipelining (draw N+1's geometry overlapped with draw N's
-/// rasterization) changes scheduling only: statistics, framebuffer bytes,
-/// checkpoint blobs, and every exported trace artifact are byte-identical
-/// to the unpipelined path.
-#[test]
-fn pipelined_frames_match_serial_bytes() {
-    for name in ["Doom3/trdemo2", "Riddick/PrisonArea"] {
-        let trace = record(name, 3);
-
-        let mut bare = Gpu::new(geom_config(96, 72, 1, 1, 64, false));
-        bare.enable_telemetry(Level::Spans, "pipeline-test", 256);
-        trace.replay(&mut bare);
-        let reference_chk = bare.save_checkpoint();
-        let serial = bare.take_telemetry().expect("collector attached");
-        let reference_bin = export::binary(&serial);
-        let reference_json = export::chrome_json(&serial);
-
-        for (geom_threads, frag_threads) in [(1, 1), (2, 4), (8, 2)] {
-            let mut gpu = Gpu::new(geom_config(96, 72, geom_threads, frag_threads, 64, true));
-            gpu.enable_telemetry(Level::Spans, "pipeline-test", 256);
-            trace.replay(&mut gpu);
-            let tag = format!("{name}: pipelined geom={geom_threads} frag={frag_threads}");
-            assert_eq!(bare.stats(), gpu.stats(), "{tag}: SimStats drifted");
-            assert_eq!(bare.framebuffer_crc(), gpu.framebuffer_crc(), "{tag}: framebuffer");
-            assert_eq!(reference_chk, gpu.save_checkpoint(), "{tag}: checkpoint bytes");
-            let piped = gpu.take_telemetry().expect("collector attached");
-            assert_eq!(reference_json, export::chrome_json(&piped), "{tag}: Chrome JSON");
-            assert_eq!(reference_bin, export::binary(&piped), "{tag}: GWTB bytes");
-        }
-    }
-}
-
-/// A checkpoint taken mid-run under pipelining restores into any other
-/// geometry/fragment thread count — pipelined or not — and the tail
-/// replays bit-identically. The pipeline drains at frame boundaries, so
-/// the blob never contains in-flight work.
-#[test]
-fn pipelined_checkpoint_resumes_across_thread_counts() {
-    let trace = record("Quake4/demo4", 4);
-    let serial = run_geom(&trace, 96, 72, 1, 1, 64, false);
-    let reference = serial.save_checkpoint();
-
-    for (head_gt, head_ft, tail_gt, tail_ft, tail_pipe) in
-        [(4, 2, 1, 1, false), (2, 4, 8, 1, true), (8, 1, 2, 4, true)]
-    {
-        let mut head = Gpu::new(geom_config(96, 72, head_gt, head_ft, 64, true));
-        trace.replay_frames(2, &mut head);
-        let blob = head.save_checkpoint();
-        drop(head);
-
-        let mut tail =
-            Gpu::restore_checkpoint(geom_config(96, 72, tail_gt, tail_ft, 64, tail_pipe), &blob)
-                .expect("geometry thread count is not part of the persistent state");
-        trace.replay_from(2, &mut tail);
-        let tag = format!(
-            "head geom={head_gt}/frag={head_ft} piped, tail geom={tail_gt}/frag={tail_ft} pipe={tail_pipe}"
-        );
-        assert_eq!(serial.stats(), tail.stats(), "{tag}: SimStats drifted");
-        assert_eq!(serial.framebuffer_crc(), tail.framebuffer_crc(), "{tag}: framebuffer");
-        assert_eq!(reference, tail.save_checkpoint(), "{tag}: checkpoint bytes");
     }
 }
 
