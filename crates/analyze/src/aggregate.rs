@@ -370,7 +370,6 @@ pub fn aggregate(index: &RunIndex) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gwc_telemetry::export::binary;
     use gwc_telemetry::reader::read_trace;
     use gwc_telemetry::{Collector, FrameSample, Level, SpanEvent, TraceMeta};
 
@@ -406,7 +405,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let bytes = binary(&c);
+        let bytes = c.trace().to_binary();
         let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
         Run {
             workload: workload.into(),
@@ -469,7 +468,7 @@ mod tests {
         };
         let mut c = Collector::new(Level::Counters, meta);
         c.end_frame(10, FrameSample::default());
-        let bytes = binary(&c);
+        let bytes = c.trace().to_binary();
         let index = RunIndex {
             runs: vec![Run {
                 workload: "G/c".into(),

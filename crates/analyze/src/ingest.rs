@@ -200,7 +200,6 @@ pub fn scan(root: &Path) -> io::Result<RunIndex> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gwc_telemetry::export::binary;
     use gwc_telemetry::{Collector, FrameSample, Level, TraceMeta};
 
     fn blob(game: &str, w: u32, h: u32) -> Vec<u8> {
@@ -216,7 +215,7 @@ mod tests {
         let mut c = Collector::new(Level::Spans, meta);
         c.record_draw(0, 10, 4);
         c.end_frame(12, FrameSample { bw_read: vec![8], bw_written: vec![2], ..Default::default() });
-        binary(&c)
+        c.trace().to_binary()
     }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {

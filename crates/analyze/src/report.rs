@@ -292,7 +292,6 @@ mod tests {
     use super::*;
     use crate::aggregate::aggregate;
     use crate::ingest::{Run, RunIndex, Skipped};
-    use gwc_telemetry::export::binary;
     use gwc_telemetry::reader::read_trace;
     use gwc_telemetry::{Collector, FrameSample, Level, TraceMeta};
 
@@ -321,7 +320,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let bytes = binary(&c);
+            let bytes = c.trace().to_binary();
             runs.push(Run {
                 workload: (*game).into(),
                 config: "32x24/f1".into(),

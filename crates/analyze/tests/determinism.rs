@@ -7,7 +7,6 @@ use std::fs;
 use std::path::PathBuf;
 
 use gwc_analyze::{aggregate, csv, html, scan, ATTRIBUTION_STAGES, CSV_HEADER};
-use gwc_telemetry::export::binary;
 use gwc_telemetry::{Collector, FrameSample, Level, SpanEvent, Stage, TraceMeta};
 
 fn trace_blob(game: &str, seed: u64, frames: u64) -> Vec<u8> {
@@ -55,7 +54,7 @@ fn trace_blob(game: &str, seed: u64, frames: u64) -> Vec<u8> {
             },
         );
     }
-    binary(&c)
+    c.trace().to_binary()
 }
 
 fn campaign_dir(tag: &str) -> PathBuf {

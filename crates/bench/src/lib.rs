@@ -163,17 +163,19 @@ pub struct TraceArtifacts {
     pub binary: String,
 }
 
-/// Exports a collector's three trace artifacts next to `stem`:
-/// `<stem>.trace.json`, `<stem>.frames.csv`, and `<stem>.trace.bin`.
+/// Exports a collector's three trace artifacts next to `stem`, all
+/// rendered from one [`Collector::trace`] snapshot: `<stem>.trace.json`,
+/// `<stem>.frames.csv`, and `<stem>.trace.bin`.
 pub fn export_trace(collector: &Collector, stem: &str) -> std::io::Result<TraceArtifacts> {
     let artifacts = TraceArtifacts {
         chrome: format!("{stem}.trace.json"),
         csv: format!("{stem}.frames.csv"),
         binary: format!("{stem}.trace.bin"),
     };
-    std::fs::write(&artifacts.chrome, gwc_telemetry::export::chrome_json(collector))?;
-    std::fs::write(&artifacts.csv, gwc_telemetry::export::frames_csv(collector))?;
-    std::fs::write(&artifacts.binary, gwc_telemetry::export::binary(collector))?;
+    let trace = collector.trace();
+    std::fs::write(&artifacts.chrome, gwc_telemetry::export::chrome_json(&trace))?;
+    std::fs::write(&artifacts.csv, gwc_telemetry::export::frames_csv(&trace))?;
+    std::fs::write(&artifacts.binary, trace.to_binary())?;
     Ok(artifacts)
 }
 

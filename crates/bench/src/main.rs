@@ -1044,8 +1044,8 @@ fn run_trace(options: &Options) -> bool {
             return false;
         }
     };
-    let bin = match gwc_telemetry::export::validate_binary(&bin_bytes) {
-        Ok(summary) => summary,
+    let bin = match gwc_telemetry::reader::read_trace(&bin_bytes) {
+        Ok(trace) => trace,
         Err(e) => {
             eprintln!("repro: {} failed validation: {e}", artifacts.binary);
             return false;
@@ -1066,7 +1066,7 @@ fn run_trace(options: &Options) -> bool {
     t.row(vec![artifacts.csv.clone(), format!("{} frame rows", collector.frames().len())]);
     t.row(vec![
         artifacts.binary.clone(),
-        format!("{} bytes, {} spans, CRC verified", bin_bytes.len(), bin.spans),
+        format!("{} bytes, {} spans, CRC verified", bin_bytes.len(), bin.spans()),
     ]);
     t.row(vec!["framebuffer crc".into(), format!("{:#010x}", gpu.framebuffer_crc())]);
     println!("{}", t.to_ascii());
@@ -1283,21 +1283,11 @@ fn resolve_addr(options: &Options) -> String {
 /// visible state, never by server defaults.
 fn submission_body(options: &Options) -> String {
     use gwc_harness::json::Json;
-    let config = options.run_config();
     Json::Obj(vec![
         ("game".into(), Json::Str(options.game.clone())),
         ("experiment".into(), Json::Str(options.kind.name().into())),
         ("rung".into(), Json::Str(options.rung.name().into())),
-        (
-            "config".into(),
-            Json::Obj(vec![
-                ("api_frames".into(), Json::Num(u64::from(config.api_frames))),
-                ("sim_frames".into(), Json::Num(u64::from(config.sim_frames))),
-                ("width".into(), Json::Num(u64::from(config.width))),
-                ("height".into(), Json::Num(u64::from(config.height))),
-                ("seed".into(), Json::Num(config.seed)),
-            ]),
-        ),
+        ("config".into(), gwc_harness::run_config_to_json(&options.run_config())),
         ("trace".into(), Json::Bool(options.trace)),
     ])
     .to_pretty()

@@ -1,25 +1,20 @@
 //! Round-trip identity: every trace the writer emits must decode
-//! through the typed GWTB reader and re-encode to the exact same
-//! bytes — over all twelve game profiles and a scenario grid, at both
-//! telemetry levels.
+//! through the typed GWTB reader back to the collector's own trace —
+//! over all twelve game profiles and a scenario grid, at both telemetry
+//! levels.
 
 use gwc_bench::{simulate_scenario_traced, simulate_traced};
 use gwc_scenarios::ScenarioSpec;
-use gwc_telemetry::export;
 use gwc_telemetry::reader::read_trace;
 use gwc_telemetry::Level;
 use gwc_workloads::GameProfile;
 
-/// Asserts writer bytes -> reader -> writer bytes is the identity.
+/// Asserts `read_trace` inverts the writer: the bytes decode to exactly
+/// the snapshot they were written from.
 fn assert_roundtrip(label: &str, collector: &gwc_telemetry::Collector) {
-    let bytes = export::binary(collector);
-    let trace = read_trace(&bytes)
-        .unwrap_or_else(|e| panic!("{label}: reader rejected writer output: {e}"));
-    assert_eq!(
-        trace.to_binary(),
-        bytes,
-        "{label}: re-encoded trace differs from the writer's bytes"
-    );
+    let trace = collector.trace();
+    let bytes = trace.to_binary();
+    assert_eq!(read_trace(&bytes), Ok(trace), "{label}: decoded trace differs from the collector's");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! Each function takes the [`Study`] and returns a [`Table`] whose rows
 //! correspond one-to-one with the paper's table of the same number.
 
-use gwc_mem::MemClient;
+use gwc_mem::{CacheConfig, MemClient};
 use gwc_pipeline::GpuConfig;
 use gwc_stats::bandwidth::{self, system_bus_table};
 use gwc_stats::{fmt_f, fmt_pct, Table};
@@ -40,7 +40,7 @@ pub fn table1(study: &Study) -> Table {
 /// Table II: simulator configuration vs the reference R520.
 pub fn table2(_study: &Study) -> Table {
     let mut t = Table::new("Table II — ATTILA configuration", &["Parameter", "R520", "Simulator"]);
-    for (param, r520, sim) in GpuConfig::paper().table2_rows() {
+    for (param, r520, sim) in GpuConfig::table2_rows() {
         t.row(vec![param, r520, sim]);
     }
     t
@@ -276,13 +276,12 @@ pub fn table14(study: &Study) -> Table {
     }
     let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
     let mut t = Table::new("Table XIV — Cache configuration and hit rate", &headers_ref);
-    let cfg = GpuConfig::paper();
     type HitRate = Box<dyn Fn(&crate::SimResults) -> f64>;
-    let caches: [(&str, gwc_mem::CacheConfig, HitRate); 4] = [
-        ("Z&Stencil", cfg.z_cache, Box::new(|s| s.z_cache.hit_rate())),
-        ("Texture L0", cfg.tex_l0, Box::new(|s| s.tex_l0.hit_rate())),
-        ("Texture L1", cfg.tex_l1, Box::new(|s| s.tex_l1.hit_rate())),
-        ("Color", cfg.color_cache, Box::new(|s| s.color_cache.hit_rate())),
+    let caches: [(&str, CacheConfig, HitRate); 4] = [
+        ("Z&Stencil", CacheConfig::Z_STENCIL, Box::new(|s| s.z_cache.hit_rate())),
+        ("Texture L0", CacheConfig::TEXTURE_L0, Box::new(|s| s.tex_l0.hit_rate())),
+        ("Texture L1", CacheConfig::TEXTURE_L1, Box::new(|s| s.tex_l1.hit_rate())),
+        ("Color", CacheConfig::COLOR, Box::new(|s| s.color_cache.hit_rate())),
     ];
     for (name, geometry, rate) in caches {
         let mut row = vec![

@@ -42,6 +42,32 @@ pub struct CampaignOptions {
     pub stop_after: Option<usize>,
 }
 
+/// Encodes a [`RunConfig`] as the `config` object of manifest rows, WAL
+/// job records and `POST /jobs` bodies: `api_frames`, `sim_frames`,
+/// `width`, `height`, `seed`, in that order.
+pub fn run_config_to_json(config: &RunConfig) -> Json {
+    Json::Obj(vec![
+        ("api_frames".into(), Json::Num(u64::from(config.api_frames))),
+        ("sim_frames".into(), Json::Num(u64::from(config.sim_frames))),
+        ("width".into(), Json::Num(u64::from(config.width))),
+        ("height".into(), Json::Num(u64::from(config.height))),
+        ("seed".into(), Json::Num(config.seed)),
+    ])
+}
+
+/// Inverse of [`run_config_to_json`]; `None` when a field is missing,
+/// not a number, or out of range.
+pub fn run_config_from_json(v: &Json) -> Option<RunConfig> {
+    let u32_field = |key: &str| u32::try_from(v.get(key)?.as_u64()?).ok();
+    Some(RunConfig {
+        api_frames: u32_field("api_frames")?,
+        sim_frames: u32_field("sim_frames")?,
+        width: u32_field("width")?,
+        height: u32_field("height")?,
+        seed: v.get("seed")?.as_u64()?,
+    })
+}
+
 /// One terminal row of the manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManifestEntry {
@@ -117,16 +143,7 @@ impl ManifestEntry {
             ("output_crc".into(), Json::Num(u64::from(self.output_crc))),
             ("checkpoint".into(), opt_str(&self.checkpoint)),
             ("trace".into(), opt_str(&self.trace)),
-            (
-                "config".into(),
-                Json::Obj(vec![
-                    ("api_frames".into(), Json::Num(u64::from(self.config.api_frames))),
-                    ("sim_frames".into(), Json::Num(u64::from(self.config.sim_frames))),
-                    ("width".into(), Json::Num(u64::from(self.config.width))),
-                    ("height".into(), Json::Num(u64::from(self.config.height))),
-                    ("seed".into(), Json::Num(self.config.seed)),
-                ]),
-            ),
+            ("config".into(), run_config_to_json(&self.config)),
         ])
     }
 
@@ -148,10 +165,6 @@ impl ManifestEntry {
                 _ => None,
             }
         };
-        let config = v.get("config")?;
-        let cfg_u32 = |key: &str| -> Option<u32> {
-            u32::try_from(config.get(key)?.as_u64()?).ok()
-        };
         Some(ManifestEntry {
             id: u32::try_from(v.get("id")?.as_u64()?).ok()?,
             game: v.get("game")?.as_str()?.to_owned(),
@@ -167,13 +180,7 @@ impl ManifestEntry {
             output_crc: u32::try_from(v.get("output_crc")?.as_u64()?).ok()?,
             checkpoint: opt_str("checkpoint")?,
             trace: opt_str("trace")?,
-            config: RunConfig {
-                api_frames: cfg_u32("api_frames")?,
-                sim_frames: cfg_u32("sim_frames")?,
-                width: cfg_u32("width")?,
-                height: cfg_u32("height")?,
-                seed: config.get("seed")?.as_u64()?,
-            },
+            config: run_config_from_json(v.get("config")?)?,
         })
     }
 
@@ -511,6 +518,21 @@ mod tests {
         };
         let parsed = ManifestEntry::from_json(&entry.to_json()).expect("round trip");
         assert_eq!(parsed, entry);
+    }
+
+    #[test]
+    fn run_config_json_keeps_key_order_and_range() {
+        let config = RunConfig { api_frames: 3, sim_frames: 1, width: 64, height: 48, seed: 5 };
+        let json = run_config_to_json(&config);
+        let Json::Obj(fields) = &json else { panic!("an object") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["api_frames", "sim_frames", "width", "height", "seed"]);
+        assert_eq!(run_config_from_json(&json), Some(config));
+
+        let mut wide = fields.clone();
+        wide[2].1 = Json::Num(u64::from(u32::MAX) + 1);
+        assert_eq!(run_config_from_json(&Json::Obj(wide)), None, "width must fit a u32");
+        assert_eq!(run_config_from_json(&Json::Obj(fields[1..].to_vec())), None);
     }
 
     #[test]

@@ -67,7 +67,7 @@ mod supervisor;
 
 pub use campaign::{
     demoted_entry, entry_from_report, entry_from_report_named, load_manifest,
-    read_artifact, run_campaign, write_manifest,
+    read_artifact, run_campaign, run_config_from_json, run_config_to_json, write_manifest,
     CampaignOptions, CampaignOutcome, ManifestEntry, MANIFEST_FILE, MANIFEST_VERSION, REPORT_FILE,
 };
 pub use chaos::{ChaosBehavior, ChaosRunner};

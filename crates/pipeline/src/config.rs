@@ -1,11 +1,12 @@
 //! Simulator configuration (the paper's Table II).
 
-use gwc_mem::CacheConfig;
-
 use crate::error::FaultPolicy;
 
 /// GPU configuration, defaulting to the ATTILA setup of Table II (matched
-/// to an ATI R520) with the cache geometry of Table XIV.
+/// to an ATI R520). The fixed parts of that setup — the Table II rates,
+/// the Table XIV cache geometry (`gwc_mem::CacheConfig`), early Z, the
+/// command-processor fetch size and the VRAM budget — are constants, not
+/// fields: no experiment varies them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuConfig {
     /// Render target width in pixels.
@@ -14,42 +15,14 @@ pub struct GpuConfig {
     pub height: u32,
     /// Post-transform vertex cache entries.
     pub vertex_cache_entries: usize,
-    /// Unified shader processor count (Table II: 16).
-    pub shader_units: u32,
-    /// Triangle setup rate, triangles/cycle (Table II: 2).
-    pub triangles_per_cycle: u32,
-    /// Texture sampling rate, bilinears/cycle (Table II: 16).
-    pub bilinears_per_cycle: u32,
-    /// Z/stencil ROP rate, fragments/cycle (Table II: 16).
-    pub z_rate: u32,
-    /// Color ROP rate, fragments/cycle (Table II: 16).
-    pub color_rate: u32,
-    /// Memory bus width, bytes/cycle (Table II: 64).
-    pub memory_bytes_per_cycle: u32,
     /// Hierarchical Z enabled.
     pub hierarchical_z: bool,
-    /// Early z & stencil enabled (when the draw state allows it).
-    pub early_z: bool,
     /// Z fast-clear + block compression enabled.
     pub z_compression: bool,
     /// Color fast-clear + uniform-block compression enabled.
     pub color_compression: bool,
-    /// Z & stencil cache geometry.
-    pub z_cache: CacheConfig,
-    /// Texture L0 (decompressed) cache geometry.
-    pub tex_l0: CacheConfig,
-    /// Texture L1 (compressed) cache geometry.
-    pub tex_l1: CacheConfig,
-    /// Color cache geometry.
-    pub color_cache: CacheConfig,
-    /// Bytes of command-processor traffic accounted per API command.
-    pub cp_bytes_per_command: u32,
     /// Reaction to classified replay faults (see [`FaultPolicy`]).
     pub fault_policy: FaultPolicy,
-    /// VRAM budget for resource allocations; a command pushing the
-    /// allocator past this faults with
-    /// [`crate::SimError::AllocationOverflow`].
-    pub vram_limit_bytes: u64,
     /// Fragment-pipeline worker threads. `0` resolves from the
     /// `GWC_THREADS` environment variable (absent → 1). Any thread count
     /// produces bit-identical results: parallelism only changes which
@@ -77,24 +50,10 @@ impl GpuConfig {
             width,
             height,
             vertex_cache_entries: 16,
-            shader_units: 16,
-            triangles_per_cycle: 2,
-            bilinears_per_cycle: 16,
-            z_rate: 16,
-            color_rate: 16,
-            memory_bytes_per_cycle: 64,
             hierarchical_z: true,
-            early_z: true,
             z_compression: true,
             color_compression: true,
-            z_cache: CacheConfig::Z_STENCIL,
-            tex_l0: CacheConfig::TEXTURE_L0,
-            tex_l1: CacheConfig::TEXTURE_L1,
-            color_cache: CacheConfig::COLOR,
-            cp_bytes_per_command: 32,
             fault_policy: FaultPolicy::Strict,
-            // The R520 shipped with up to 512 MiB of GDDR3.
-            vram_limit_bytes: 512 << 20,
             threads: 0,
             stripe_rows: 32,
             geometry_threads: 0,
@@ -108,34 +67,17 @@ impl GpuConfig {
 
     /// Table II rows as `(parameter, R520, ATTILA-model)` strings, for the
     /// `repro table2` output.
-    pub fn table2_rows(&self) -> Vec<(String, String, String)> {
-        vec![
-            (
-                "Vertex/Fragment Shaders".into(),
-                "8/16".into(),
-                format!("{} (unified)", self.shader_units),
-            ),
-            (
-                "Triangle Setup".into(),
-                "2 triangles/cycle".into(),
-                format!("{} triangles/cycle", self.triangles_per_cycle),
-            ),
-            (
-                "Texture Rate".into(),
-                "16 bilinears/cycle".into(),
-                format!("{} bilinears/cycle", self.bilinears_per_cycle),
-            ),
-            (
-                "ZStencil / Color Rates".into(),
-                "16 / 16 fragments/cycle".into(),
-                format!("{} / {} fragments/cycle", self.z_rate, self.color_rate),
-            ),
-            (
-                "Memory BW".into(),
-                "> 64 bytes/cycle".into(),
-                format!("{} bytes/cycle", self.memory_bytes_per_cycle),
-            ),
+    pub fn table2_rows() -> Vec<(String, String, String)> {
+        [
+            ("Vertex/Fragment Shaders", "8/16", "16 (unified)"),
+            ("Triangle Setup", "2 triangles/cycle", "2 triangles/cycle"),
+            ("Texture Rate", "16 bilinears/cycle", "16 bilinears/cycle"),
+            ("ZStencil / Color Rates", "16 / 16 fragments/cycle", "16 / 16 fragments/cycle"),
+            ("Memory BW", "> 64 bytes/cycle", "64 bytes/cycle"),
         ]
+        .into_iter()
+        .map(|(param, r520, model)| (param.into(), r520.into(), model.into()))
+        .collect()
     }
 }
 
@@ -153,24 +95,21 @@ mod tests {
     fn paper_config_matches_table2() {
         let c = GpuConfig::paper();
         assert_eq!((c.width, c.height), (1024, 768));
-        assert_eq!(c.shader_units, 16);
-        assert_eq!(c.triangles_per_cycle, 2);
-        assert_eq!(c.bilinears_per_cycle, 16);
-        assert_eq!((c.z_rate, c.color_rate), (16, 16));
-        assert_eq!(c.memory_bytes_per_cycle, 64);
-    }
-
-    #[test]
-    fn cache_geometry_matches_table14() {
-        let c = GpuConfig::paper();
-        assert_eq!(c.z_cache.capacity(), 16 * 1024);
-        assert_eq!(c.tex_l0.capacity(), 4 * 1024);
-        assert_eq!(c.tex_l1.capacity(), 16 * 1024);
-        assert_eq!(c.color_cache.capacity(), 16 * 1024);
+        let model: Vec<String> = GpuConfig::table2_rows().into_iter().map(|row| row.2).collect();
+        assert_eq!(
+            model,
+            [
+                "16 (unified)",
+                "2 triangles/cycle",
+                "16 bilinears/cycle",
+                "16 / 16 fragments/cycle",
+                "64 bytes/cycle",
+            ]
+        );
     }
 
     #[test]
     fn table2_rows_complete() {
-        assert_eq!(GpuConfig::paper().table2_rows().len(), 5);
+        assert_eq!(GpuConfig::table2_rows().len(), 5);
     }
 }

@@ -101,8 +101,7 @@ pub enum SimError {
         /// Human-readable cause.
         reason: &'static str,
     },
-    /// A resource allocation would exceed the VRAM budget
-    /// ([`crate::GpuConfig::vram_limit_bytes`]).
+    /// A resource allocation would exceed the 512 MiB VRAM budget.
     AllocationOverflow {
         /// Bytes the command asked for.
         requested: u64,

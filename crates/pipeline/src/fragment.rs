@@ -27,7 +27,8 @@ use std::collections::HashMap;
 
 use gwc_math::Vec4;
 use gwc_mem::compress::{classify_color_block, classify_z_block, BlockState, DirBandView};
-use gwc_mem::{tiled_offset, AccessKind, Cache, FrameTraffic, MemClient, MemoryController};
+use gwc_mem::{tiled_offset, AccessKind, Cache, CacheConfig, FrameTraffic, MemClient,
+              MemoryController};
 use gwc_raster::{rasterize_band, BlendState, DepthState, HzBandView, Quad, RasterStats,
                  StencilState, TriangleSetup, Viewport, ZBandView, ZResult, MAX_VARYINGS};
 use gwc_shader::{ExecStats, Program, ShaderMachine};
@@ -36,7 +37,6 @@ use gwc_texture::{SamplerState, Texture};
 
 use crate::budget::CancelToken;
 use crate::colorbuffer::ColorBandView;
-use crate::config::GpuConfig;
 use crate::error::SimError;
 use crate::stats::FrameSimStats;
 use crate::texunit::{BoundSampler, TextureUnit};
@@ -59,12 +59,12 @@ pub(crate) struct StripeUnits {
 }
 
 impl StripeUnits {
-    /// Creates the units with the configured cache geometry.
-    pub fn new(config: &GpuConfig) -> Self {
+    /// Creates the units with Table XIV's cache geometry.
+    pub fn new() -> Self {
         StripeUnits {
-            z_cache: Cache::new(config.z_cache),
-            color_cache: Cache::new(config.color_cache),
-            texunit: TextureUnit::new(config),
+            z_cache: Cache::new(CacheConfig::Z_STENCIL),
+            color_cache: Cache::new(CacheConfig::COLOR),
+            texunit: TextureUnit::new(),
             mem: MemoryController::new(),
         }
     }

@@ -143,6 +143,15 @@ pub struct Gpu {
     creation_log: Vec<Command>,
 }
 
+/// Early Z & stencil test, used whenever the draw state allows it.
+const EARLY_Z: bool = true;
+/// Bytes of command-processor fetch traffic accounted per API command.
+const CP_BYTES_PER_COMMAND: u64 = 32;
+/// VRAM budget for resource allocations: the R520 shipped with up to
+/// 512 MiB of GDDR3. A command pushing the allocator past it faults with
+/// [`SimError::AllocationOverflow`].
+const VRAM_LIMIT_BYTES: u64 = 512 << 20;
+
 /// Resolves the fragment-pipeline worker count: an explicit configuration
 /// wins; `0` consults the `GWC_THREADS` environment variable and defaults
 /// to 1 (serial).
@@ -176,7 +185,7 @@ impl Gpu {
         let zb_addr = vram.alloc(fb_bytes, 256);
         let cb_addr = vram.alloc(fb_bytes, 256);
         let stripe_count = config.height.div_ceil(config.stripe_rows) as usize;
-        let stripes = (0..stripe_count).map(|_| StripeUnits::new(&config)).collect();
+        let stripes = (0..stripe_count).map(|_| StripeUnits::new()).collect();
         let threads = resolve_threads(config.threads);
         let geom_threads = if config.geometry_threads > 0 { config.geometry_threads } else { threads };
         Gpu {
@@ -269,20 +278,13 @@ impl Gpu {
         self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
     }
 
-    /// Attaches a telemetry [`Collector`]. Recording is keyed by the
-    /// work-tick clock, which advances identically with or without a
-    /// collector (and at any level), so attaching one cannot perturb the
-    /// simulation. Prefer [`Gpu::enable_telemetry`], which builds the
-    /// collector from this GPU's own configuration.
-    pub fn set_telemetry(&mut self, collector: Collector) {
-        let mut collector = collector;
-        collector.resume_at(self.tick);
-        self.telemetry = Some(collector);
-    }
-
-    /// Builds and attaches a [`Collector`] at `level` for a run labelled
-    /// `game`, deriving the trace metadata (framebuffer and stripe
-    /// geometry, memory client order, ring capacity) from this GPU.
+    /// Builds and attaches a telemetry [`Collector`] at `level` for a run
+    /// labelled `game`, deriving the trace metadata (framebuffer and stripe
+    /// geometry, memory client order, ring capacity) from this GPU. Its
+    /// frame timebase starts at the current work tick. Recording is keyed
+    /// by the work-tick clock, which advances identically with or without
+    /// a collector (and at any level), so attaching one cannot perturb the
+    /// simulation.
     pub fn enable_telemetry(&mut self, level: Level, game: &str, span_capacity: usize) {
         let meta = TraceMeta {
             game: game.to_string(),
@@ -293,7 +295,9 @@ impl Gpu {
             clients: MemClient::ALL.iter().map(|c| c.name().to_string()).collect(),
             span_capacity: span_capacity as u32,
         };
-        self.set_telemetry(Collector::new(level, meta));
+        let mut collector = Collector::new(level, meta);
+        collector.resume_at(self.tick);
+        self.telemetry = Some(collector);
     }
 
     /// The attached telemetry collector, if any.
@@ -400,11 +404,11 @@ impl Gpu {
     /// Checks a prospective resource allocation against the VRAM budget.
     fn check_alloc(&self, requested: u64) -> Result<(), SimError> {
         let allocated = self.vram.allocated_bytes();
-        if allocated.saturating_add(requested) > self.config.vram_limit_bytes {
+        if allocated.saturating_add(requested) > VRAM_LIMIT_BYTES {
             return Err(SimError::AllocationOverflow {
                 requested,
                 allocated,
-                limit: self.config.vram_limit_bytes,
+                limit: VRAM_LIMIT_BYTES,
             });
         }
         Ok(())
@@ -484,7 +488,7 @@ impl Gpu {
         self.mem.read(MemClient::Vertex, bpi * count as u64);
 
         // Early-z legality for this draw.
-        let early_z_ok = self.config.early_z
+        let early_z_ok = EARLY_Z
             && self.depth_state.test
             && !fragment_program.uses_kill()
             && !fragment_program.writes_depth()
@@ -1054,9 +1058,6 @@ impl Gpu {
         // token and advanced on the telemetry clock alike, skip or no skip,
         // so the clock is a pure function of the command stream.
         self.tick += 1;
-        if let Some(t) = self.telemetry.as_mut() {
-            t.record_command();
-        }
         // A tripped cancellation token stops all execution (no CP fetch,
         // no statistics): the supervisor has already decided this run's
         // results are void, so the only job left is to drain the stream
@@ -1078,8 +1079,7 @@ impl Gpu {
             }
         }
         // Command processor fetch traffic.
-        self.mem
-            .read(MemClient::CommandProcessor, self.config.cp_bytes_per_command as u64);
+        self.mem.read(MemClient::CommandProcessor, CP_BYTES_PER_COMMAND);
         match self.execute(command) {
             Ok(()) => Ok(()),
             Err(e) => {
@@ -1484,10 +1484,10 @@ impl Gpu {
             return Err(CheckpointError::Corrupt("stripe count differs from configuration"));
         }
         for i in 0..gpu.stripes.len() {
-            let z = read_cache(&mut fram, config.z_cache)?;
-            let color = read_cache(&mut fram, config.color_cache)?;
-            let l0 = read_cache(&mut fram, config.tex_l0)?;
-            let l1 = read_cache(&mut fram, config.tex_l1)?;
+            let z = read_cache(&mut fram, CacheConfig::Z_STENCIL)?;
+            let color = read_cache(&mut fram, CacheConfig::COLOR)?;
+            let l0 = read_cache(&mut fram, CacheConfig::TEXTURE_L0)?;
+            let l1 = read_cache(&mut fram, CacheConfig::TEXTURE_L1)?;
             let s = &mut gpu.stripes[i];
             s.z_cache = z;
             s.color_cache = color;

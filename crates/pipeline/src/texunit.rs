@@ -3,10 +3,9 @@
 use std::collections::HashMap;
 
 use gwc_math::Vec4;
-use gwc_mem::{AccessKind, Cache, MemClient, MemoryController};
+use gwc_mem::{AccessKind, Cache, CacheConfig, MemClient, MemoryController};
 use gwc_shader::{QuadSampler, TextureRequest};
 use gwc_texture::{SampleStats, SamplerState, TexelAddress, TexelTracker, Texture};
-use crate::config::GpuConfig;
 use crate::error::SimError;
 
 /// The texture unit's cache hierarchy and filtering statistics.
@@ -23,11 +22,11 @@ pub struct TextureUnit {
 }
 
 impl TextureUnit {
-    /// Creates the unit with the configured cache geometry.
-    pub fn new(config: &GpuConfig) -> Self {
+    /// Creates the unit with Table XIV's texture cache geometry.
+    pub(crate) fn new() -> Self {
         TextureUnit {
-            l0: Cache::new(config.tex_l0),
-            l1: Cache::new(config.tex_l1),
+            l0: Cache::new(CacheConfig::TEXTURE_L0),
+            l1: Cache::new(CacheConfig::TEXTURE_L1),
             stats: SampleStats::default(),
         }
     }
@@ -150,8 +149,7 @@ mod tests {
     type TexturePool = HashMap<u32, (Texture, SamplerState)>;
 
     fn setup() -> (TextureUnit, MemoryController, HashMap<u8, u32>, TexturePool) {
-        let config = GpuConfig::r520(64, 64);
-        let unit = TextureUnit::new(&config);
+        let unit = TextureUnit::new();
         let mem = MemoryController::new();
         let mut vram = AddressSpace::new();
         let img = Image::noise(64, 64, 1);

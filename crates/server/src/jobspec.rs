@@ -13,7 +13,7 @@ use std::path::Path;
 
 use gwc_core::RunConfig;
 use gwc_harness::json::Json;
-use gwc_harness::{Experiment, Job, Rung};
+use gwc_harness::{run_config_from_json, run_config_to_json, Experiment, Job, Rung};
 
 /// FNV-1a (64-bit) over the canonical key. A keyed cryptographic hash is
 /// unnecessary: the key space is tiny (twelve games × three experiments
@@ -115,37 +115,20 @@ impl JobSpec {
             ("game".into(), Json::Str(self.game.clone())),
             ("experiment".into(), Json::Str(self.experiment.name().into())),
             ("rung".into(), Json::Str(self.rung.name().into())),
-            (
-                "config".into(),
-                Json::Obj(vec![
-                    ("api_frames".into(), Json::Num(u64::from(self.config.api_frames))),
-                    ("sim_frames".into(), Json::Num(u64::from(self.config.sim_frames))),
-                    ("width".into(), Json::Num(u64::from(self.config.width))),
-                    ("height".into(), Json::Num(u64::from(self.config.height))),
-                    ("seed".into(), Json::Num(self.config.seed)),
-                ]),
-            ),
+            ("config".into(), run_config_to_json(&self.config)),
             ("trace".into(), Json::Bool(self.trace)),
         ])
     }
 
     /// Parses a journaled spec; `None` for structural mismatches.
     pub fn from_json(v: &Json) -> Option<JobSpec> {
-        let config = v.get("config")?;
-        let cfg_u32 = |key: &str| u32::try_from(config.get(key)?.as_u64()?).ok();
         Some(JobSpec {
             hash: v.get("hash")?.as_str()?.to_owned(),
             id: u32::try_from(v.get("id")?.as_u64()?).ok()?,
             game: v.get("game")?.as_str()?.to_owned(),
             experiment: Experiment::from_name(v.get("experiment")?.as_str()?)?,
             rung: Rung::from_name(v.get("rung")?.as_str()?)?,
-            config: RunConfig {
-                api_frames: cfg_u32("api_frames")?,
-                sim_frames: cfg_u32("sim_frames")?,
-                width: cfg_u32("width")?,
-                height: cfg_u32("height")?,
-                seed: config.get("seed")?.as_u64()?,
-            },
+            config: run_config_from_json(v.get("config")?)?,
             trace: match v.get("trace")? {
                 Json::Bool(b) => *b,
                 _ => return None,

@@ -1,12 +1,15 @@
-//! Trace exporters: Chrome/Perfetto `trace_event` JSON, per-frame CSV,
-//! and the GWTB self-describing binary container.
+//! Text exporters: Chrome/Perfetto `trace_event` JSON and per-frame CSV,
+//! both rendered from a [`TraceFile`] snapshot (the GWTB container is
+//! written by [`TraceFile::to_binary`] beside its reader), plus the
+//! workspace's one CRC-32.
 //!
-//! All three are pure functions of the collector's contents, which are
-//! themselves pure functions of the replayed command stream — so exported
-//! bytes are bit-identical across worker counts and checkpoint/resume.
+//! Both are pure functions of the trace, which is itself a pure function
+//! of the replayed command stream — so exported bytes are bit-identical
+//! across worker counts and checkpoint/resume.
 
+use crate::reader::{TraceFile, TrackRing};
 use crate::tracks::{self, PID, TID_CP, TID_FRAMES, TID_GEOM};
-use crate::{pct, Collector, FrameSample, SpanEvent, SpanRing, STRIPE_STAGES};
+use crate::{pct, FrameSample, SpanEvent, STRIPE_STAGES};
 use std::fmt::Write as _;
 
 // ---- Chrome / Perfetto JSON -------------------------------------------
@@ -54,8 +57,8 @@ fn push_begin_end(out: &mut String, tid: u32, span: &SpanEvent) {
     );
 }
 
-fn push_ring(out: &mut String, first: &mut bool, tid: u32, ring: &SpanRing) {
-    for span in ring.iter() {
+fn push_ring(out: &mut String, first: &mut bool, tid: u32, ring: &TrackRing) {
+    for span in &ring.spans {
         if !*first {
             out.push(',');
         }
@@ -64,7 +67,7 @@ fn push_ring(out: &mut String, first: &mut bool, tid: u32, ring: &SpanRing) {
     }
 }
 
-/// Renders the collector as Chrome `trace_event` JSON (the format
+/// Renders the trace as Chrome `trace_event` JSON (the format
 /// Perfetto's UI and `chrome://tracing` both open). Work ticks are mapped
 /// onto the format's microsecond timestamps. Every span becomes a `B`/`E`
 /// pair on its own track: frames on track 0, command-processor events on
@@ -72,8 +75,8 @@ fn push_ring(out: &mut String, first: &mut bool, tid: u32, ring: &SpanRing) {
 /// stripe × pipeline stage after that, so no
 /// track ever nests or interleaves and timestamps are monotonic per track.
 /// Per-frame counters additionally become `C` (counter) events.
-pub fn chrome_json(c: &Collector) -> String {
-    let meta = c.meta();
+pub fn chrome_json(t: &TraceFile) -> String {
+    let meta = &t.meta;
     let mut out = String::new();
     let _ = write!(
         out,
@@ -85,7 +88,7 @@ pub fn chrome_json(c: &Collector) -> String {
         meta.height,
         meta.stripe_rows,
         meta.stripes,
-        c.level().name()
+        t.level.name()
     );
 
     push_meta_event(&mut out, "process_name", TID_FRAMES, tracks::PROCESS_NAME);
@@ -107,7 +110,7 @@ pub fn chrome_json(c: &Collector) -> String {
     }
 
     // Per-frame counter tracks (visible even at `counters` level).
-    for f in c.frames() {
+    for f in &t.frames {
         let _ = write!(
             out,
             ",{{\"name\":\"fragments\",\"ph\":\"C\",\"ts\":{},\"pid\":{PID},\"tid\":{tid_counters},\
@@ -125,13 +128,13 @@ pub fn chrome_json(c: &Collector) -> String {
     }
 
     let mut first = false; // metadata events already emitted
-    push_ring(&mut out, &mut first, TID_FRAMES, c.frame_track());
-    push_ring(&mut out, &mut first, TID_CP, c.cp_track());
-    push_ring(&mut out, &mut first, TID_GEOM, c.geom_track());
+    push_ring(&mut out, &mut first, TID_FRAMES, t.frame_ring());
+    push_ring(&mut out, &mut first, TID_CP, t.cp_ring());
+    push_ring(&mut out, &mut first, TID_GEOM, t.geom_ring());
     // Fixed ascending stripe order — the same order stat shards merge in.
-    for (stripe, ring) in c.stripe_tracks().iter().enumerate() {
+    for (stripe, ring) in t.stripe_rings().iter().enumerate() {
         for (slot, stage) in STRIPE_STAGES.iter().enumerate() {
-            for span in ring.iter().filter(|s| s.stage == *stage) {
+            for span in ring.spans.iter().filter(|s| s.stage == *stage) {
                 out.push(',');
                 push_begin_end(&mut out, tracks::stripe_tid(stripe as u32, slot), span);
             }
@@ -173,7 +176,7 @@ fn derived(f: &FrameSample) -> [f64; 8] {
 /// the derived Figure-style percentages (formatted to 4 decimal places so
 /// bytes are deterministic), then `bw_<client>_read` / `bw_<client>_written`
 /// pairs for every memory client.
-pub fn frames_csv(c: &Collector) -> String {
+pub fn frames_csv(t: &TraceFile) -> String {
     let mut out = String::new();
     for (i, col) in FrameSample::SCALAR_COLUMNS.iter().enumerate() {
         if i > 0 {
@@ -184,11 +187,11 @@ pub fn frames_csv(c: &Collector) -> String {
     for col in DERIVED_COLUMNS {
         let _ = write!(out, ",{col}");
     }
-    for client in &c.meta().clients {
+    for client in &t.meta.clients {
         let _ = write!(out, ",bw_{client}_read,bw_{client}_written");
     }
     out.push('\n');
-    for f in c.frames() {
+    for f in &t.frames {
         for (i, v) in f.scalars().iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -198,7 +201,7 @@ pub fn frames_csv(c: &Collector) -> String {
         for v in derived(f) {
             let _ = write!(out, ",{v:.4}");
         }
-        for i in 0..c.meta().clients.len() {
+        for i in 0..t.meta.clients.len() {
             let _ = write!(
                 out,
                 ",{},{}",
@@ -211,15 +214,10 @@ pub fn frames_csv(c: &Collector) -> String {
     out
 }
 
-// ---- GWTB binary container --------------------------------------------
-
-/// GWTB container magic.
-pub const BINARY_MAGIC: [u8; 4] = *b"GWTB";
-/// GWTB container version.
-pub const BINARY_VERSION: u16 = 1;
+// ---- CRC-32 -------------------------------------------------------------
 
 // IEEE CRC-32 (reflected). This crate has no dependencies, so it hosts
-// the workspace's one copy: the GWCK checkpoint container, the harness
+// the workspace's one copy: the GWTB and GWCK containers, the harness
 // manifest and the server WAL all call it.
 const CRC_TABLE: [u32; 256] = build_crc_table();
 
@@ -248,154 +246,10 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Serializes the collector into the GWTB binary container:
-///
-/// ```text
-/// magic "GWTB", version u16, level u8
-/// meta:   game, width, height, stripe_rows, stripes, span_capacity,
-///         client names (count-prefixed)
-/// schema: scalar column names (count-prefixed) — self-describing
-/// frames: count, then per frame the scalar columns in schema order
-///         followed by (read, written) u64 pairs per client
-/// rings:  count (frame + cp + geometry + stripes), then per ring dropped u64,
-///         span count u32, spans as (stage u8, start, dur, arg0, arg1)
-/// crc32 u32 over every preceding byte
-/// ```
-///
-/// Strings are `u32` length + UTF-8 bytes; integers are little-endian.
-pub fn binary(c: &Collector) -> Vec<u8> {
-    let mut w = Writer { buf: Vec::new() };
-    w.buf.extend_from_slice(&BINARY_MAGIC);
-    w.u16(BINARY_VERSION);
-    w.u8(c.level().tag());
-
-    let meta = c.meta();
-    w.str(&meta.game);
-    w.u32(meta.width);
-    w.u32(meta.height);
-    w.u32(meta.stripe_rows);
-    w.u32(meta.stripes);
-    w.u32(meta.span_capacity);
-    w.u32(meta.clients.len() as u32);
-    for client in &meta.clients {
-        w.str(client);
-    }
-
-    w.u32(FrameSample::SCALAR_COLUMNS.len() as u32);
-    for col in FrameSample::SCALAR_COLUMNS {
-        w.str(col);
-    }
-
-    w.u32(c.frames().len() as u32);
-    for f in c.frames() {
-        for v in f.scalars() {
-            w.u64(v);
-        }
-        for i in 0..meta.clients.len() {
-            w.u64(f.bw_read.get(i).copied().unwrap_or(0));
-            w.u64(f.bw_written.get(i).copied().unwrap_or(0));
-        }
-    }
-
-    let rings: Vec<&SpanRing> = std::iter::once(c.frame_track())
-        .chain(std::iter::once(c.cp_track()))
-        .chain(std::iter::once(c.geom_track()))
-        .chain(c.stripe_tracks().iter())
-        .collect();
-    w.u32(rings.len() as u32);
-    for ring in rings {
-        w.u64(ring.dropped());
-        w.u32(ring.len() as u32);
-        for span in ring.iter() {
-            w.u8(span.stage.tag());
-            w.u64(span.start);
-            w.u64(span.dur);
-            w.u64(span.arg0);
-            w.u64(span.arg1);
-        }
-    }
-
-    let crc = crc32(&w.buf);
-    w.u32(crc);
-    w.buf
-}
-
-/// Level tag helper for the binary header.
-impl crate::Level {
-    /// Stable one-byte tag used by the binary format.
-    pub fn tag(self) -> u8 {
-        match self {
-            crate::Level::Off => 0,
-            crate::Level::Counters => 1,
-            crate::Level::Spans => 2,
-        }
-    }
-
-    /// Inverse of [`crate::Level::tag`].
-    pub fn from_tag(tag: u8) -> Option<crate::Level> {
-        Some(match tag {
-            0 => crate::Level::Off,
-            1 => crate::Level::Counters,
-            2 => crate::Level::Spans,
-            _ => return None,
-        })
-    }
-}
-
-/// Summary returned by [`validate_binary`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BinarySummary {
-    /// Game name from the embedded metadata.
-    pub game: String,
-    /// Number of per-frame rows.
-    pub frames: u32,
-    /// Total spans across all rings.
-    pub spans: u64,
-    /// Total spans dropped to ring overflow.
-    pub dropped: u64,
-}
-
-/// Verifies a GWTB blob end to end — magic, version, CRC-32 trailer, and
-/// full structural decode — returning a summary of its contents. This is
-/// a thin wrapper over the typed reader ([`crate::reader::read_trace`]);
-/// one decoder serves both validation and analytics.
-pub fn validate_binary(bytes: &[u8]) -> Result<BinarySummary, String> {
-    let trace = crate::reader::read_trace(bytes).map_err(|e| e.to_string())?;
-    Ok(BinarySummary {
-        game: trace.meta.game.clone(),
-        frames: trace.frames.len() as u32,
-        spans: trace.spans(),
-        dropped: trace.dropped(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Level, Stage, TraceMeta};
+    use crate::{Collector, Level, Stage, TraceMeta};
 
     fn sample_collector(level: Level) -> Collector {
         let meta = TraceMeta {
@@ -408,7 +262,6 @@ mod tests {
             span_capacity: 64,
         };
         let mut c = Collector::new(level, meta);
-        c.record_command();
         c.record_geometry(1, 9, 16, 12);
         c.record_draw(1, 40, 12);
         c.record_clear(41);
@@ -441,8 +294,7 @@ mod tests {
 
     #[test]
     fn chrome_json_is_valid_and_balanced() {
-        let c = sample_collector(Level::Spans);
-        let json = chrome_json(&c);
+        let json = chrome_json(&sample_collector(Level::Spans).trace());
         let summary = crate::validate::validate_chrome(&json).expect("validates");
         // Frame + Geometry + Draw + Clear + 3 stripe spans = 7 B/E pairs
         // (the clear is an instant pair too).
@@ -453,8 +305,7 @@ mod tests {
 
     #[test]
     fn chrome_json_counters_level_has_no_spans() {
-        let c = sample_collector(Level::Counters);
-        let json = chrome_json(&c);
+        let json = chrome_json(&sample_collector(Level::Counters).trace());
         let summary = crate::validate::validate_chrome(&json).expect("validates");
         assert_eq!(summary.begin_events, 0);
         assert_eq!(summary.counter_events, 2);
@@ -462,8 +313,7 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_one_row_per_frame() {
-        let c = sample_collector(Level::Counters);
-        let csv = frames_csv(&c);
+        let csv = frames_csv(&sample_collector(Level::Counters).trace());
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("frame,end_tick,batches"));
@@ -475,24 +325,37 @@ mod tests {
         assert!(lines[1].ends_with("100,30,50,0"));
     }
 
+    /// The three exports of [`sample_collector`] at `level`: Chrome JSON,
+    /// frames CSV and GWTB.
+    fn exported(level: Level) -> (String, String, Vec<u8>) {
+        let t = sample_collector(level).trace();
+        (chrome_json(&t), frames_csv(&t), t.to_binary())
+    }
+
+    /// Known values for every exported byte. The CSV is pinned as text,
+    /// Chrome JSON and GWTB as length plus CRC-32. For GWTB the CRC is
+    /// taken over the bytes before its trailer: the CRC-32 of a whole
+    /// blob that ends in its own CRC is the same constant for every blob.
     #[test]
-    fn binary_roundtrips_and_crc_detects_flips() {
-        let c = sample_collector(Level::Spans);
-        let blob = binary(&c);
-        let summary = validate_binary(&blob).expect("validates");
-        assert_eq!(summary.game, "Test/demo");
-        assert_eq!(summary.frames, 1);
-        assert_eq!(summary.spans, 7);
-        assert_eq!(summary.dropped, 0);
-
-        let mut bad = blob.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0x10;
-        assert!(validate_binary(&bad).unwrap_err().contains("CRC"));
-
-        let mut wrong_magic = blob;
-        wrong_magic[0] = b'X';
-        assert!(validate_binary(&wrong_magic).unwrap_err().contains("magic"));
+    fn exported_bytes_are_pinned() {
+        const CSV: &str = "frame,end_tick,batches,indices,shaded_vertices,vcache_hits,\
+            triangles,frags_raster,frags_zst,frags_shaded,frags_blended,quads_raster,\
+            quads_hz_removed,quads_zst_removed,quads_alpha_removed,tex_requests,\
+            bilinear_samples,z_accesses,z_hits,color_accesses,color_hits,tex_l0_accesses,\
+            tex_l0_hits,tex_l1_accesses,tex_l1_hits,vcache_hit_pct,hz_kill_pct,zst_kill_pct,\
+            alpha_kill_pct,z_hit_pct,color_hit_pct,tex_l0_hit_pct,tex_l1_hit_pct,\
+            bw_cp_read,bw_cp_written,bw_tex_read,bw_tex_written\n\
+            0,50,1,36,16,20,12,27,0,20,18,9,0,0,0,0,0,30,21,0,0,0,0,0,0,\
+            55.5556,0.0000,0.0000,0.0000,70.0000,0.0000,0.0000,0.0000,100,30,50,0\n";
+        for (level, chrome_pin, bin_pin) in [
+            (Level::Spans, (2838, 0x4125_B157), (1000, 0x3FC3_3CA8)),
+            (Level::Counters, (1966, 0xFB18_CA4B), (769, 0x224F_A651)),
+        ] {
+            let (chrome, csv, bin) = exported(level);
+            assert_eq!(csv, CSV, "{level:?}: frames CSV");
+            assert_eq!((chrome.len(), crc32(chrome.as_bytes())), chrome_pin, "{level:?}: Chrome JSON");
+            assert_eq!((bin.len(), crc32(&bin[..bin.len() - 4])), bin_pin, "{level:?}: GWTB");
+        }
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //!   merged back in ascending stripe order, mirroring how `SimStats` shards
 //!   merge.
 //!
-//! Exporters live in [`export`]: Chrome/Perfetto `trace_event` JSON,
-//! per-frame CSV, and a compact self-describing binary container with a
-//! CRC-32 trailer. [`reader`] is the typed inverse of the binary writer
-//! (total over byte slices — corruption maps to [`reader::ReadError`],
-//! never a panic), [`tracks`] is the shared track-naming table both
-//! sides use, and [`validate`] checks exported JSON without any external
-//! tooling.
+//! [`Collector::trace`] snapshots both into a [`reader::TraceFile`], the
+//! one in-memory trace model. [`reader`] owns the GWTB binary container:
+//! its one writer ([`reader::TraceFile::to_binary`]) and its typed
+//! inverse [`reader::read_trace`] (total over byte slices — corruption
+//! maps to [`reader::ReadError`], never a panic). [`export`] renders the
+//! same model as Chrome/Perfetto `trace_event` JSON and per-frame CSV,
+//! [`tracks`] is the shared track-naming table, and [`validate`] checks
+//! exported JSON without any external tooling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,9 +46,9 @@ pub enum Level {
     /// to no collector at all.
     #[default]
     Off,
-    /// Per-frame time-series and aggregate stage counters, no span events.
+    /// Per-frame time-series only, no span events.
     Counters,
-    /// Everything: counters plus span events in the per-stripe rings.
+    /// Everything: the time-series plus span events in the per-stripe rings.
     Spans,
 }
 
@@ -72,6 +73,25 @@ impl Level {
             Level::Counters => "counters",
             Level::Spans => "spans",
         }
+    }
+
+    /// Stable one-byte tag used by the binary format.
+    pub fn tag(self) -> u8 {
+        match self {
+            Level::Off => 0,
+            Level::Counters => 1,
+            Level::Spans => 2,
+        }
+    }
+
+    /// Inverse of [`Level::tag`].
+    pub fn from_tag(tag: u8) -> Option<Level> {
+        Some(match tag {
+            0 => Level::Off,
+            1 => Level::Counters,
+            2 => Level::Spans,
+            _ => return None,
+        })
     }
 }
 
@@ -241,130 +261,108 @@ impl SpanRing {
 
 // ---- per-frame samples ------------------------------------------------
 
-/// One row of the per-frame time-series. All counters are per-frame
-/// deltas (the collector converts the simulator's cumulative cache
-/// counters internally). Rates are derived at export time, never stored.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FrameSample {
+/// Declares [`FrameSample`] from its one list of scalar columns: the
+/// struct fields, [`FrameSample::SCALAR_COLUMNS`] (via `stringify!`),
+/// [`FrameSample::scalars`] and its inverse `from_scalars` all expand
+/// from it, so the CSV header, the GWTB schema and the row
+/// codec cannot disagree on the column order.
+macro_rules! frame_sample {
+    ($($(#[$doc:meta])* $field:ident,)+) => {
+        /// Number of scalar columns in a [`FrameSample`].
+        pub(crate) const SCALAR_COUNT: usize = [$(stringify!($field)),+].len();
+
+        /// One row of the per-frame time-series. All counters are per-frame
+        /// deltas (the collector converts the simulator's cumulative cache
+        /// counters internally). Rates are derived at export time, never
+        /// stored.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct FrameSample {
+            $($(#[$doc])* pub $field: u64,)+
+            /// Bytes read from memory this frame, one entry per client in
+            /// [`TraceMeta::clients`] order.
+            pub bw_read: Vec<u64>,
+            /// Bytes written to memory this frame, same order as `bw_read`.
+            pub bw_written: Vec<u64>,
+        }
+
+        impl FrameSample {
+            /// Column names of [`FrameSample::scalars`], in order. The binary
+            /// format embeds this list so readers never guess the layout.
+            pub const SCALAR_COLUMNS: [&'static str; SCALAR_COUNT] = [$(stringify!($field)),+];
+
+            /// The fixed scalar fields, in [`FrameSample::SCALAR_COLUMNS`] order.
+            pub fn scalars(&self) -> [u64; SCALAR_COUNT] {
+                [$(self.$field),+]
+            }
+
+            /// Inverse of [`FrameSample::scalars`], plus the per-client
+            /// bandwidth columns.
+            pub(crate) fn from_scalars(
+                scalars: [u64; SCALAR_COUNT],
+                bw_read: Vec<u64>,
+                bw_written: Vec<u64>,
+            ) -> FrameSample {
+                let [$($field),+] = scalars;
+                FrameSample { $($field,)+ bw_read, bw_written }
+            }
+        }
+    };
+}
+
+frame_sample! {
     /// Zero-based frame index across the whole run (resume-aware).
-    pub frame: u64,
+    frame,
     /// Work tick at which the frame ended.
-    pub end_tick: u64,
+    end_tick,
     /// Draw batches submitted this frame.
-    pub batches: u64,
+    batches,
     /// Indices fetched by the streamer.
-    pub indices: u64,
+    indices,
     /// Vertices actually shaded (post-vertex-cache).
-    pub shaded_vertices: u64,
+    shaded_vertices,
     /// Vertex cache hits.
-    pub vcache_hits: u64,
+    vcache_hits,
     /// Triangles traversed by the rasterizer.
-    pub triangles: u64,
+    triangles,
     /// Fragments generated by traversal.
-    pub frags_raster: u64,
+    frags_raster,
     /// Fragment lanes entering Z/stencil test.
-    pub frags_zst: u64,
+    frags_zst,
     /// Fragments shaded.
-    pub frags_shaded: u64,
+    frags_shaded,
     /// Fragments blended / written to color.
-    pub frags_blended: u64,
+    frags_blended,
     /// Quads generated by traversal.
-    pub quads_raster: u64,
+    quads_raster,
     /// Quads killed by hierarchical Z.
-    pub quads_hz_removed: u64,
+    quads_hz_removed,
     /// Quads killed by Z/stencil test.
-    pub quads_zst_removed: u64,
+    quads_zst_removed,
     /// Quads killed by alpha test / shader kill.
-    pub quads_alpha_removed: u64,
+    quads_alpha_removed,
     /// Texture requests issued by shading.
-    pub tex_requests: u64,
+    tex_requests,
     /// Bilinear samples performed for those requests.
-    pub bilinear_samples: u64,
+    bilinear_samples,
     /// Z cache accesses.
-    pub z_accesses: u64,
+    z_accesses,
     /// Z cache hits.
-    pub z_hits: u64,
+    z_hits,
     /// Color cache accesses.
-    pub color_accesses: u64,
+    color_accesses,
     /// Color cache hits.
-    pub color_hits: u64,
+    color_hits,
     /// Texture L0 cache accesses.
-    pub tex_l0_accesses: u64,
+    tex_l0_accesses,
     /// Texture L0 cache hits.
-    pub tex_l0_hits: u64,
+    tex_l0_hits,
     /// Texture L1 cache accesses.
-    pub tex_l1_accesses: u64,
+    tex_l1_accesses,
     /// Texture L1 cache hits.
-    pub tex_l1_hits: u64,
-    /// Bytes read from memory this frame, one entry per client in
-    /// [`TraceMeta::clients`] order.
-    pub bw_read: Vec<u64>,
-    /// Bytes written to memory this frame, same order as `bw_read`.
-    pub bw_written: Vec<u64>,
+    tex_l1_hits,
 }
 
 impl FrameSample {
-    /// Column names of [`FrameSample::scalars`], in order. The binary
-    /// format embeds this list so readers never guess the layout.
-    pub const SCALAR_COLUMNS: [&'static str; 25] = [
-        "frame",
-        "end_tick",
-        "batches",
-        "indices",
-        "shaded_vertices",
-        "vcache_hits",
-        "triangles",
-        "frags_raster",
-        "frags_zst",
-        "frags_shaded",
-        "frags_blended",
-        "quads_raster",
-        "quads_hz_removed",
-        "quads_zst_removed",
-        "quads_alpha_removed",
-        "tex_requests",
-        "bilinear_samples",
-        "z_accesses",
-        "z_hits",
-        "color_accesses",
-        "color_hits",
-        "tex_l0_accesses",
-        "tex_l0_hits",
-        "tex_l1_accesses",
-        "tex_l1_hits",
-    ];
-
-    /// The fixed scalar fields, in [`FrameSample::SCALAR_COLUMNS`] order.
-    pub fn scalars(&self) -> [u64; 25] {
-        [
-            self.frame,
-            self.end_tick,
-            self.batches,
-            self.indices,
-            self.shaded_vertices,
-            self.vcache_hits,
-            self.triangles,
-            self.frags_raster,
-            self.frags_zst,
-            self.frags_shaded,
-            self.frags_blended,
-            self.quads_raster,
-            self.quads_hz_removed,
-            self.quads_zst_removed,
-            self.quads_alpha_removed,
-            self.tex_requests,
-            self.bilinear_samples,
-            self.z_accesses,
-            self.z_hits,
-            self.color_accesses,
-            self.color_hits,
-            self.tex_l0_accesses,
-            self.tex_l0_hits,
-            self.tex_l1_accesses,
-            self.tex_l1_hits,
-        ]
-    }
-
     /// Total bytes read this frame across all clients.
     pub fn total_read(&self) -> u64 {
         self.bw_read.iter().sum()
@@ -410,23 +408,6 @@ pub struct TraceMeta {
     pub span_capacity: u32,
 }
 
-// ---- aggregate counters -----------------------------------------------
-
-/// Cheap always-on aggregate counters (when the level is not `Off`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageCounters {
-    /// API commands consumed.
-    pub commands: u64,
-    /// Draw calls executed.
-    pub draws: u64,
-    /// Clears executed.
-    pub clears: u64,
-    /// Triangles assembled across all draws.
-    pub triangles: u64,
-    /// Frames completed.
-    pub frames: u64,
-}
-
 // ---- collector --------------------------------------------------------
 
 /// The telemetry collector. Owned by the GPU; all recording entry points
@@ -437,7 +418,6 @@ pub struct StageCounters {
 pub struct Collector {
     level: Level,
     meta: TraceMeta,
-    counters: StageCounters,
     frames: Vec<FrameSample>,
     frame_track: SpanRing,
     cp_track: SpanRing,
@@ -464,7 +444,6 @@ impl Collector {
             geom_track: SpanRing::new(cap),
             stripe_tracks: (0..meta.stripes).map(|_| SpanRing::new(cap)).collect(),
             meta,
-            counters: StageCounters::default(),
             frames: Vec::new(),
             frame_start_tick: 0,
             draws_this_frame: 0,
@@ -492,34 +471,32 @@ impl Collector {
         &self.meta
     }
 
-    /// Aggregate counters.
-    pub fn counters(&self) -> &StageCounters {
-        &self.counters
-    }
-
     /// The per-frame time-series collected so far.
     pub fn frames(&self) -> &[FrameSample] {
         &self.frames
     }
 
-    /// The frame track ring.
-    pub fn frame_track(&self) -> &SpanRing {
-        &self.frame_track
-    }
-
-    /// The command-processor track ring.
-    pub fn cp_track(&self) -> &SpanRing {
-        &self.cp_track
-    }
-
-    /// The geometry track ring.
-    pub fn geom_track(&self) -> &SpanRing {
-        &self.geom_track
-    }
-
-    /// The per-stripe rings, ascending stripe order.
-    pub fn stripe_tracks(&self) -> &[SpanRing] {
-        &self.stripe_tracks
+    /// Snapshots everything recorded so far as a [`reader::TraceFile`], the
+    /// model every exporter renders from. Rings come in container order —
+    /// frame, command processor, geometry, then one per stripe — each named
+    /// by [`tracks::ring_name`], with its spans oldest-first.
+    pub fn trace(&self) -> reader::TraceFile {
+        let rings = [&self.frame_track, &self.cp_track, &self.geom_track]
+            .into_iter()
+            .chain(&self.stripe_tracks)
+            .enumerate()
+            .map(|(index, ring)| reader::TrackRing {
+                name: tracks::ring_name(index),
+                dropped: ring.dropped(),
+                spans: ring.iter().copied().collect(),
+            })
+            .collect();
+        reader::TraceFile {
+            level: self.level,
+            meta: self.meta.clone(),
+            frames: self.frames.clone(),
+            rings,
+        }
     }
 
     /// Spans dropped across all rings due to overflow.
@@ -544,21 +521,11 @@ impl Collector {
         self.frame_start_tick = tick;
     }
 
-    /// Records one consumed API command.
-    pub fn record_command(&mut self) {
-        if self.level == Level::Off {
-            return;
-        }
-        self.counters.commands += 1;
-    }
-
     /// Records a completed draw spanning `[start, end)` work ticks.
     pub fn record_draw(&mut self, start: u64, end: u64, triangles: u64) {
         if self.level == Level::Off {
             return;
         }
-        self.counters.draws += 1;
-        self.counters.triangles += triangles;
         self.draws_this_frame += 1;
         if self.level == Level::Spans {
             self.cp_track.push(SpanEvent {
@@ -590,10 +557,6 @@ impl Collector {
 
     /// Records a clear at `tick`.
     pub fn record_clear(&mut self, tick: u64) {
-        if self.level == Level::Off {
-            return;
-        }
-        self.counters.clears += 1;
         if self.level == Level::Spans {
             self.cp_track
                 .push(SpanEvent { stage: Stage::Clear, start: tick, dur: 0, arg0: 0, arg1: 0 });
@@ -655,7 +618,6 @@ impl Collector {
             });
         }
         self.frame_start_tick = end_tick;
-        self.counters.frames += 1;
         self.frames.push(sample);
     }
 }
@@ -701,6 +663,10 @@ mod tests {
             assert_eq!(Stage::from_tag(stage.tag()), Some(stage));
         }
         assert_eq!(Stage::from_tag(200), None);
+        for level in [Level::Off, Level::Counters, Level::Spans] {
+            assert_eq!(Level::from_tag(level.tag()), Some(level));
+        }
+        assert_eq!(Level::from_tag(3), None);
         for (i, stage) in STRIPE_STAGES.iter().enumerate() {
             assert_eq!(stage.stripe_slot(), Some(i));
         }
@@ -731,12 +697,10 @@ mod tests {
     #[test]
     fn off_collector_records_nothing() {
         let mut c = Collector::new(Level::Off, meta(3, 16));
-        c.record_command();
         c.record_draw(0, 10, 5);
         c.record_geometry(0, 4, 3, 2);
         c.record_clear(11);
         c.end_frame(20, FrameSample::default());
-        assert_eq!(c.counters(), &StageCounters::default());
         assert!(c.frames().is_empty());
         assert_eq!(c.spans_recorded(), 0);
         assert!(c.take_stripe_rings().is_none());
@@ -747,7 +711,6 @@ mod tests {
         let mut c = Collector::new(Level::Counters, meta(2, 16));
         c.record_draw(0, 10, 5);
         c.end_frame(20, FrameSample::default());
-        assert_eq!(c.counters().draws, 1);
         assert_eq!(c.frames().len(), 1);
         assert_eq!(c.frames()[0].batches, 1);
         assert_eq!(c.spans_recorded(), 0);
@@ -774,7 +737,7 @@ mod tests {
         c.resume_at(1000);
         c.end_frame(1500, FrameSample::default());
         c.end_frame(1800, FrameSample::default());
-        let spans: Vec<&SpanEvent> = c.frame_track().iter().collect();
+        let spans = c.trace().frame_ring().spans.clone();
         assert_eq!((spans[0].start, spans[0].dur), (1000, 500));
         assert_eq!((spans[1].start, spans[1].dur), (1500, 300));
     }
@@ -786,15 +749,18 @@ mod tests {
         assert_eq!(rings.len(), 2);
         rings[1].push(SpanEvent { stage: Stage::Shade, start: 5, dur: 3, arg0: 9, arg1: 0 });
         c.restore_stripe_rings(rings);
-        assert_eq!(c.stripe_tracks()[1].len(), 1);
         assert_eq!(c.spans_recorded(), 1);
+        let trace = c.trace();
+        let names: Vec<&str> = trace.rings.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["frames", "command-processor", "geometry", "stripe0", "stripe1"]);
+        assert_eq!(trace.stripe_rings()[1].spans.len(), 1);
     }
 
     #[test]
     fn geometry_spans_land_on_their_own_track() {
         let mut c = Collector::new(Level::Spans, meta(1, 8));
         c.record_geometry(10, 25, 40, 12);
-        let spans: Vec<&SpanEvent> = c.geom_track().iter().collect();
+        let spans = c.trace().geom_ring().spans.clone();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].stage, Stage::Geometry);
         assert_eq!((spans[0].start, spans[0].dur), (10, 15));

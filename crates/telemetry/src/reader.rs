@@ -1,20 +1,36 @@
-//! Typed GWTB reader: the inverse of [`crate::export::binary`].
+//! The GWTB binary trace container: its layout, its one writer
+//! ([`TraceFile::to_binary`]) and its typed reader ([`read_trace`]).
 //!
-//! [`read_trace`] parses the self-describing container — magic, version,
-//! metadata, embedded schema, frame rows, span rings, CRC-32 trailer —
-//! into plain typed structures. It is a *total* function over byte
-//! slices: every malformed input maps to a [`ReadError`] variant, never a
-//! panic, mirroring the checkpoint restore path. Decoding is a single
-//! forward pass over the borrowed input with no intermediate buffer
-//! copies; only the decoded values themselves (strings, frame rows,
-//! spans) are materialized.
+//! ```text
+//! magic "GWTB", version u16, level u8
+//! meta:   game, width, height, stripe_rows, stripes, span_capacity,
+//!         client names (count-prefixed)
+//! schema: scalar column names (count-prefixed) — self-describing
+//! frames: count, then per frame the scalar columns in schema order
+//!         followed by (read, written) u64 pairs per client
+//! rings:  count (frame + cp + geometry + stripes), then per ring dropped u64,
+//!         span count u32, spans as (stage u8, start, dur, arg0, arg1)
+//! crc32 u32 over every preceding byte
+//! ```
 //!
-//! [`TraceFile::to_binary`] re-encodes a parsed trace. For every blob the
-//! writer emits, `read_trace(b).to_binary() == b` byte for byte — the
-//! round-trip identity the reader proptests pin down.
+//! Strings are `u32` length + UTF-8 bytes; integers are little-endian.
+//!
+//! [`read_trace`] parses the container into the same [`TraceFile`] model
+//! the writer encodes, so for every collector `c`,
+//! `read_trace(&c.trace().to_binary()) == Ok(c.trace())`. It is a *total*
+//! function over byte slices: every malformed input maps to a
+//! [`ReadError`] variant, never a panic, mirroring the checkpoint restore
+//! path. Decoding is a single forward pass over the borrowed input with no
+//! intermediate buffer copies; only the decoded values themselves
+//! (strings, frame rows, spans) are materialized.
 
-use crate::export::{crc32, BINARY_MAGIC, BINARY_VERSION};
-use crate::{tracks, FrameSample, Level, SpanEvent, Stage, TraceMeta};
+use crate::export::crc32;
+use crate::{tracks, FrameSample, Level, SpanEvent, Stage, TraceMeta, SCALAR_COUNT};
+
+/// GWTB container magic.
+pub const BINARY_MAGIC: [u8; 4] = *b"GWTB";
+/// GWTB container version.
+pub const BINARY_VERSION: u16 = 1;
 
 /// Longest plausible embedded string, matching the writer's own bound.
 const MAX_STRING: u32 = 1 << 20;
@@ -134,25 +150,26 @@ impl std::fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
-/// One decoded span ring, labeled with its canonical track name from
+/// One span ring, labeled with its canonical track name from
 /// [`crate::tracks`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackRing {
     /// Canonical track name (`frames`, `command-processor`, `geometry`,
     /// or `stripe<N>`).
     pub name: String,
-    /// Spans the writer dropped to ring overflow before export.
+    /// Spans dropped to ring overflow before the snapshot.
     pub dropped: u64,
-    /// Decoded spans, oldest first (the order the writer emitted).
+    /// Spans, oldest first.
     pub spans: Vec<SpanEvent>,
 }
 
-/// A fully decoded GWTB trace.
+/// A whole trace: what [`crate::Collector::trace`] snapshots, every
+/// exporter renders, and [`read_trace`] decodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceFile {
     /// Collection level the trace was recorded at.
     pub level: Level,
-    /// Run metadata embedded in the container.
+    /// Run metadata.
     pub meta: TraceMeta,
     /// Per-frame time-series rows.
     pub frames: Vec<FrameSample>,
@@ -182,7 +199,7 @@ impl TraceFile {
         &self.rings[3..]
     }
 
-    /// Total decoded spans across all rings.
+    /// Total spans across all rings.
     pub fn spans(&self) -> u64 {
         self.rings.iter().map(|r| r.spans.len() as u64).sum()
     }
@@ -206,9 +223,8 @@ impl TraceFile {
         frame_end.max(span_end)
     }
 
-    /// Re-encodes the trace in the exact container layout
-    /// [`crate::export::binary`] writes. Reading a writer-emitted blob
-    /// and re-encoding it reproduces the original bytes.
+    /// Encodes the trace as a GWTB container (layout in the module docs).
+    /// This is the only GWTB writer; [`read_trace`] is its inverse.
     pub fn to_binary(&self) -> Vec<u8> {
         let mut buf: Vec<u8> = Vec::new();
         let push_u32 = |buf: &mut Vec<u8>, v: u32| buf.extend_from_slice(&v.to_le_bytes());
@@ -233,7 +249,7 @@ impl TraceFile {
             push_str(&mut buf, client);
         }
 
-        push_u32(&mut buf, FrameSample::SCALAR_COLUMNS.len() as u32);
+        push_u32(&mut buf, SCALAR_COUNT as u32);
         for col in FrameSample::SCALAR_COLUMNS {
             push_str(&mut buf, col);
         }
@@ -314,38 +330,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn sample_from_row(scalars: &[u64; 25], bw_read: Vec<u64>, bw_written: Vec<u64>) -> FrameSample {
-    FrameSample {
-        frame: scalars[0],
-        end_tick: scalars[1],
-        batches: scalars[2],
-        indices: scalars[3],
-        shaded_vertices: scalars[4],
-        vcache_hits: scalars[5],
-        triangles: scalars[6],
-        frags_raster: scalars[7],
-        frags_zst: scalars[8],
-        frags_shaded: scalars[9],
-        frags_blended: scalars[10],
-        quads_raster: scalars[11],
-        quads_hz_removed: scalars[12],
-        quads_zst_removed: scalars[13],
-        quads_alpha_removed: scalars[14],
-        tex_requests: scalars[15],
-        bilinear_samples: scalars[16],
-        z_accesses: scalars[17],
-        z_hits: scalars[18],
-        color_accesses: scalars[19],
-        color_hits: scalars[20],
-        tex_l0_accesses: scalars[21],
-        tex_l0_hits: scalars[22],
-        tex_l1_accesses: scalars[23],
-        tex_l1_hits: scalars[24],
-        bw_read,
-        bw_written,
-    }
-}
-
 /// Parses a GWTB blob into a [`TraceFile`].
 ///
 /// The CRC-32 trailer is verified before any structural decode, so a
@@ -391,10 +375,10 @@ pub fn read_trace(bytes: &[u8]) -> Result<TraceFile, ReadError> {
     let meta = TraceMeta { game, width, height, stripe_rows, stripes, clients, span_capacity };
 
     let column_count = r.u32("schema column count")?;
-    if column_count as usize != FrameSample::SCALAR_COLUMNS.len() {
+    if column_count as usize != SCALAR_COUNT {
         return Err(ReadError::SchemaColumnCount {
             got: column_count,
-            expected: FrameSample::SCALAR_COLUMNS.len() as u32,
+            expected: SCALAR_COUNT as u32,
         });
     }
     for (index, expected) in FrameSample::SCALAR_COLUMNS.iter().enumerate() {
@@ -407,7 +391,7 @@ pub fn read_trace(bytes: &[u8]) -> Result<TraceFile, ReadError> {
     let frame_count = r.u32("frame count")?;
     let mut frames = Vec::new();
     for _ in 0..frame_count {
-        let mut scalars = [0u64; 25];
+        let mut scalars = [0u64; SCALAR_COUNT];
         for slot in &mut scalars {
             *slot = r.u64("frame scalar")?;
         }
@@ -417,7 +401,7 @@ pub fn read_trace(bytes: &[u8]) -> Result<TraceFile, ReadError> {
             bw_read.push(r.u64("client bytes read")?);
             bw_written.push(r.u64("client bytes written")?);
         }
-        frames.push(sample_from_row(&scalars, bw_read, bw_written));
+        frames.push(FrameSample::from_scalars(scalars, bw_read, bw_written));
     }
 
     let ring_count = r.u32("ring count")?;
@@ -461,7 +445,7 @@ mod tests {
     // the `reader_props` proptest suite; these unit tests pin the typed
     // error surface on hand-built corruptions.
 
-    fn tiny_blob() -> Vec<u8> {
+    fn tiny_collector() -> crate::Collector {
         let meta = TraceMeta {
             game: "Test/demo".into(),
             width: 32,
@@ -472,19 +456,23 @@ mod tests {
             span_capacity: 8,
         };
         let mut c = crate::Collector::new(Level::Spans, meta);
-        c.record_command();
         c.record_draw(1, 6, 3);
         c.end_frame(
             10,
             FrameSample { indices: 9, bw_read: vec![64], bw_written: vec![16], ..Default::default() },
         );
-        crate::export::binary(&c)
+        c
+    }
+
+    fn tiny_blob() -> Vec<u8> {
+        tiny_collector().trace().to_binary()
     }
 
     #[test]
     fn reads_writer_output_and_reencodes_identically() {
         let blob = tiny_blob();
         let t = read_trace(&blob).expect("reads");
+        assert_eq!(t, tiny_collector().trace(), "the reader inverts the writer");
         assert_eq!(t.level, Level::Spans);
         assert_eq!(t.meta.game, "Test/demo");
         assert_eq!(t.frames.len(), 1);
@@ -519,6 +507,10 @@ mod tests {
         let mid = blob.len() / 2;
         blob[mid] ^= 0x04;
         assert!(matches!(read_trace(&blob), Err(ReadError::CrcMismatch { .. })));
+
+        let mut wrong_magic = tiny_blob();
+        wrong_magic[0] = b'X';
+        assert_eq!(read_trace(&wrong_magic), Err(ReadError::BadMagic));
     }
 
     #[test]

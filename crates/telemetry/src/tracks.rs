@@ -1,8 +1,9 @@
 //! The canonical track table: one place that names every trace track and
 //! assigns its Chrome `trace_event` tid.
 //!
-//! Both the Chrome exporter ([`crate::export::chrome_json`]) and the GWTB
-//! reader ([`crate::reader`]) label tracks through this module, so the
+//! The collector's snapshot ([`crate::Collector::trace`]), the Chrome
+//! exporter ([`crate::export::chrome_json`]) and the GWTB reader
+//! ([`crate::reader`]) all label tracks through this module, so the
 //! names a dashboard shows and the names Perfetto shows can never drift
 //! apart. The layout is fixed: one process, with the frame track on tid 0,
 //! the command processor on tid 1, the geometry front end on tid 2, then

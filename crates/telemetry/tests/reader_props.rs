@@ -8,15 +8,14 @@
 //! writer-emitted container every way a failing disk does and assert the
 //! same total-function contract the GWCK restore proptests pin down.
 
-use gwc_telemetry::export::binary;
 use gwc_telemetry::reader::read_trace;
 use gwc_telemetry::{Collector, FrameSample, Level, SpanEvent, Stage, TraceMeta};
 use proptest::prelude::*;
 
-/// A real trace from a collector that has recorded every kind of data:
-/// frames, command-processor, geometry, and stripe spans, plus
-/// per-client bandwidth — so every container section is non-trivial.
-fn reference_blob() -> Vec<u8> {
+/// A collector that has recorded every kind of data: frames,
+/// command-processor, geometry, and stripe spans, plus per-client
+/// bandwidth — so every container section is non-trivial.
+fn reference_collector() -> Collector {
     let meta = TraceMeta {
         game: "Doom3/trdemo2".into(),
         width: 64,
@@ -29,7 +28,6 @@ fn reference_blob() -> Vec<u8> {
     let mut c = Collector::new(Level::Spans, meta);
     for frame in 0..2u64 {
         let base = frame * 100;
-        c.record_command();
         c.record_geometry(base + 1, base + 9, 16, 12);
         c.record_draw(base + 1, base + 40, 12);
         c.record_clear(base + 41);
@@ -56,7 +54,12 @@ fn reference_blob() -> Vec<u8> {
             },
         );
     }
-    binary(&c)
+    c
+}
+
+/// The writer's GWTB bytes for [`reference_collector`].
+fn reference_blob() -> Vec<u8> {
+    reference_collector().trace().to_binary()
 }
 
 proptest! {
@@ -73,7 +76,7 @@ proptest! {
 
     /// A single flipped bit anywhere in the container is caught — by
     /// magic, CRC trailer, or the structural decoders — or, if it reads
-    /// at all, re-encodes to the identical original bytes (silent trace
+    /// at all, decodes to the collector's own trace (silent trace
     /// corruption is never acceptable).
     #[test]
     fn single_bit_flips_never_corrupt_silently(pos in 0usize..8192, bit in 0u8..8) {
@@ -83,8 +86,8 @@ proptest! {
         bent[pos] ^= 1 << bit;
         if let Ok(trace) = read_trace(&bent) {
             prop_assert_eq!(
-                trace.to_binary(),
-                blob,
+                trace,
+                reference_collector().trace(),
                 "bit {} of byte {} changed the blob yet read to a different trace", bit, pos
             );
         }
@@ -116,6 +119,7 @@ proptest! {
 fn the_unmutated_blob_round_trips_bit_identically() {
     let blob = reference_blob();
     let trace = read_trace(&blob).expect("the genuine trace reads");
+    assert_eq!(trace, reference_collector().trace(), "the reader inverts the writer");
     assert_eq!(trace.to_binary(), blob, "read → re-encode must round-trip");
     assert_eq!(trace.frames.len(), 2);
     assert_eq!(trace.spans(), 14, "2 × (frame + draw + clear + geometry + 3 stripe spans)");

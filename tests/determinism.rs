@@ -156,16 +156,23 @@ fn resume_across_thread_counts_is_bit_identical() {
 
 // ---- telemetry determinism --------------------------------------------
 
-use gwc::telemetry::{export, Level};
+use gwc::telemetry::reader::read_trace;
+use gwc::telemetry::{export, Collector, Level};
 
 /// Replays `trace` under `config` with a telemetry collector attached at
 /// `level` and returns the GPU plus the detached collector.
-fn run_traced(trace: &Trace, config: GpuConfig, level: Level) -> (Gpu, gwc::telemetry::Collector) {
+fn run_traced(trace: &Trace, config: GpuConfig, level: Level) -> (Gpu, Collector) {
     let mut gpu = Gpu::new(config);
     gpu.enable_telemetry(level, "determinism-test", 256);
     trace.replay(&mut gpu);
     let collector = gpu.take_telemetry().expect("collector attached above");
     (gpu, collector)
+}
+
+/// Chrome JSON, frames CSV and GWTB bytes of one collector snapshot.
+fn exports(collector: &Collector) -> (String, String, Vec<u8>) {
+    let trace = collector.trace();
+    (export::chrome_json(&trace), export::frames_csv(&trace), trace.to_binary())
 }
 
 /// Telemetry is observation, never participation: with the collector
@@ -202,19 +209,16 @@ fn telemetry_does_not_change_simulation_results() {
 fn exported_traces_are_thread_count_invariant() {
     let trace = record("Doom3/trdemo2", 3);
     let (_, serial) = run_traced(&trace, config_with_threads(96, 72, 1), Level::Spans);
-    let reference = (
-        export::chrome_json(&serial),
-        export::frames_csv(&serial),
-        export::binary(&serial),
-    );
-    export::validate_binary(&reference.2).expect("binary round-trips");
+    let reference = exports(&serial);
+    assert_eq!(read_trace(&reference.2), Ok(serial.trace()), "binary decodes to the snapshot");
     for (geom_threads, frag_threads) in [(2, 2), (4, 4), (2, 4), (8, 2)] {
         let config = config_with_split(96, 72, geom_threads, frag_threads);
         let (_, parallel) = run_traced(&trace, config, Level::Spans);
+        let (json, csv, bin) = exports(&parallel);
         let tag = format!("geom={geom_threads} frag={frag_threads}");
-        assert_eq!(reference.0, export::chrome_json(&parallel), "{tag}: Chrome JSON drifted");
-        assert_eq!(reference.1, export::frames_csv(&parallel), "{tag}: frames CSV drifted");
-        assert_eq!(reference.2, export::binary(&parallel), "{tag}: binary drifted");
+        assert_eq!(reference.0, json, "{tag}: Chrome JSON drifted");
+        assert_eq!(reference.1, csv, "{tag}: frames CSV drifted");
+        assert_eq!(reference.2, bin, "{tag}: binary drifted");
     }
 }
 
@@ -232,8 +236,7 @@ fn resumed_tail_traces_are_bit_identical() {
     gpu.enable_telemetry(Level::Spans, "tail", 256);
     trace.replay_from(2, &mut gpu);
     let reference = gpu.take_telemetry().expect("collector attached");
-    let reference_json = export::chrome_json(&reference);
-    let reference_bin = export::binary(&reference);
+    let (reference_json, _, reference_bin) = exports(&reference);
     assert!(!reference.frames().is_empty(), "tail collector saw frames");
 
     for (head_threads, tail_threads) in [(1, 1), (1, 4), (4, 1), (2, 4)] {
@@ -245,15 +248,13 @@ fn resumed_tail_traces_are_bit_identical() {
             .expect("restores");
         tail.enable_telemetry(Level::Spans, "tail", 256);
         trace.replay_from(2, &mut tail);
-        let resumed = tail.take_telemetry().expect("collector attached");
+        let (json, _, bin) = exports(&tail.take_telemetry().expect("collector attached"));
         assert_eq!(
-            reference_json,
-            export::chrome_json(&resumed),
+            reference_json, json,
             "head at {head_threads}, tail at {tail_threads}: Chrome JSON drifted across resume"
         );
         assert_eq!(
-            reference_bin,
-            export::binary(&resumed),
+            reference_bin, bin,
             "head at {head_threads}, tail at {tail_threads}: binary drifted across resume"
         );
     }
