@@ -11,9 +11,10 @@
 //!    (game-or-scenario, config, seed). Corrupt traces are skipped and
 //!    listed, never fatal — analytics over a partially-damaged data dir
 //!    still ranks the survivors.
-//! 2. **Aggregate** ([`aggregate`]): per-stage × per-stripe utilization
-//!    on the work-tick clock, bottleneck attribution (top stage by
-//!    occupied-tick share, per run and per workload group),
+//! 2. **Aggregate** ([`aggregate`](mod@aggregate)): per-stage ×
+//!    per-stripe utilization on the work-tick clock, bottleneck
+//!    attribution (top stage by occupied-tick share, per run and per
+//!    workload group),
 //!    cache-sensitivity spreads across configs, replica-divergence
 //!    checks (same key ⇒ byte-identical trace, the thread-invariance
 //!    contract), and trace-derived feature vectors ranked against each

@@ -62,6 +62,11 @@ impl std::error::Error for DeviceError {}
 /// tool chain. Validation is strict ([C-VALIDATE]): invalid streams are
 /// rejected at record time so traces are replayable by construction.
 ///
+/// As a [`CommandSink`] the device is the recorder a generator emits
+/// into: valid commands are recorded exactly as [`Device::submit`]
+/// records them, invalid ones are dropped and the first rejection is
+/// kept for [`Device::first_error`].
+///
 /// ```
 /// use gwc_api::{Command, Device, Indices, VertexLayout};
 /// use gwc_math::Vec4;
@@ -83,6 +88,7 @@ pub struct Device {
     index_max: HashMap<u32, u32>,
     textures: HashMap<u32, ()>,
     programs: HashMap<u32, ()>,
+    first_error: Option<DeviceError>,
 }
 
 impl Device {
@@ -201,6 +207,24 @@ impl Device {
     pub fn into_trace(self) -> Trace {
         self.trace
     }
+
+    /// The first command the device rejected while consuming a stream as
+    /// a [`CommandSink`], if any. [`Device::submit`] returns its errors
+    /// instead and never sets this.
+    pub fn first_error(&self) -> Option<&DeviceError> {
+        self.first_error.as_ref()
+    }
+}
+
+impl CommandSink for Device {
+    fn consume(&mut self, command: &Command) {
+        match self.validate(command) {
+            Ok(()) => self.trace.push(command.clone()),
+            Err(e) => {
+                self.first_error.get_or_insert(e);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -303,6 +327,30 @@ mod tests {
             .submit(Command::State(StateCommand::BindTexture { unit: 0, texture: 5 }))
             .unwrap_err();
         assert_eq!(err, DeviceError::UnknownId("texture", 5));
+    }
+
+    #[test]
+    fn consumed_valid_stream_records_like_submit() {
+        let stream = [vb(0, 3), ib(0, vec![0, 1, 2]), draw(0, 0, 0, 3), Command::EndFrame];
+        let mut submitted = Device::new();
+        let mut consumed = Device::new();
+        for c in &stream {
+            submitted.submit(c.clone()).unwrap();
+            consumed.consume(c);
+        }
+        assert_eq!(consumed.first_error(), None);
+        assert_eq!(consumed.into_trace(), submitted.into_trace());
+    }
+
+    #[test]
+    fn consumed_invalid_command_is_dropped_and_first_error_kept() {
+        let mut d = Device::new();
+        d.consume(&vb(0, 3));
+        d.consume(&draw(0, 9, 0, 3)); // unknown index buffer
+        d.consume(&vb(0, 3)); // duplicate id
+        d.consume(&Command::EndFrame);
+        assert_eq!(d.first_error(), Some(&DeviceError::UnknownId("index buffer", 9)));
+        assert_eq!(d.trace().commands(), &[vb(0, 3), Command::EndFrame]);
     }
 
     #[test]

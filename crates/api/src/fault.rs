@@ -7,8 +7,12 @@
 //! level (decoded commands with scrambled ids, out-of-range counts, or
 //! non-finite data, exercising the pipeline's typed error propagation).
 //!
-//! All randomness comes from a caller-provided seed via SplitMix64, so a
-//! failing corruption pattern reproduces from the seed alone.
+//! All randomness comes from a caller-provided seed via the workspace's
+//! `StdRng`, so a failing corruption pattern reproduces from the seed
+//! alone.
+
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::command::{Command, StateCommand};
 
@@ -16,28 +20,19 @@ use crate::command::{Command, StateCommand};
 /// command streams.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
-    state: u64,
+    rng: StdRng,
 }
 
 impl FaultInjector {
     /// Creates an injector from a seed. Equal seeds produce equal fault
     /// patterns.
     pub fn new(seed: u64) -> Self {
-        FaultInjector { state: seed }
-    }
-
-    /// SplitMix64 step.
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        FaultInjector { rng: StdRng::seed_from_u64(seed) }
     }
 
     /// A coin that lands heads `rate_ppm` times per million flips.
     fn coin(&mut self, rate_ppm: u32) -> bool {
-        self.next() % 1_000_000 < rate_ppm as u64
+        self.rng.next_u64() % 1_000_000 < rate_ppm as u64
     }
 
     /// Flips one random bit per corrupted byte of `bytes`, corrupting each
@@ -47,7 +42,7 @@ impl FaultInjector {
         let mut corrupted = 0;
         for b in bytes.iter_mut() {
             if self.coin(rate_ppm) {
-                *b ^= 1 << (self.next() % 8);
+                *b ^= 1 << (self.rng.next_u64() % 8);
                 corrupted += 1;
             }
         }
@@ -58,7 +53,7 @@ impl FaultInjector {
     /// the new length.
     pub fn truncate(&mut self, bytes: &mut Vec<u8>) -> usize {
         if !bytes.is_empty() {
-            let cut = (self.next() % bytes.len() as u64) as usize;
+            let cut = (self.rng.next_u64() % bytes.len() as u64) as usize;
             bytes.truncate(cut);
         }
         bytes.len()
@@ -99,23 +94,23 @@ impl FaultInjector {
     fn corrupt_one(&mut self, c: &mut Command) -> bool {
         match c {
             Command::Draw { vertex_buffer, index_buffer, first, count, .. } => {
-                match self.next() % 4 {
-                    0 => *vertex_buffer = 0xDEAD_0000 | (self.next() as u32 & 0xFFFF),
-                    1 => *index_buffer = 0xDEAD_0000 | (self.next() as u32 & 0xFFFF),
+                match self.rng.next_u64() % 4 {
+                    0 => *vertex_buffer = 0xDEAD_0000 | (self.rng.next_u64() as u32 & 0xFFFF),
+                    1 => *index_buffer = 0xDEAD_0000 | (self.rng.next_u64() as u32 & 0xFFFF),
                     2 => *count = count.saturating_mul(1000).max(1_000_000),
-                    _ => *first = u32::MAX - (self.next() as u32 & 0xFF),
+                    _ => *first = u32::MAX - (self.rng.next_u64() as u32 & 0xFF),
                 }
                 true
             }
             Command::State(StateCommand::BindTexture { texture, .. }) => {
-                *texture = 0xDEAD_0000 | (self.next() as u32 & 0xFFFF);
+                *texture = 0xDEAD_0000 | (self.rng.next_u64() as u32 & 0xFFFF);
                 true
             }
             Command::State(StateCommand::BindPrograms { vertex, fragment }) => {
-                if self.next() & 1 == 0 {
-                    *vertex = 0xDEAD_0000 | (self.next() as u32 & 0xFFFF);
+                if self.rng.next_u64() & 1 == 0 {
+                    *vertex = 0xDEAD_0000 | (self.rng.next_u64() as u32 & 0xFFFF);
                 } else {
-                    *fragment = 0xDEAD_0000 | (self.next() as u32 & 0xFFFF);
+                    *fragment = 0xDEAD_0000 | (self.rng.next_u64() as u32 & 0xFFFF);
                 }
                 true
             }
@@ -128,7 +123,7 @@ impl FaultInjector {
                 if data.is_empty() {
                     return false;
                 }
-                let i = (self.next() % data.len() as u64) as usize;
+                let i = (self.rng.next_u64() % data.len() as u64) as usize;
                 data[i].x = f32::NAN;
                 true
             }

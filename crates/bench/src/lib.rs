@@ -1,7 +1,7 @@
-//! Shared helpers for the benchmark harness and the `repro` binary:
-//! simulation entry points (plain and cancellable), per-experiment report
-//! builders, and the [`ReproRunner`] that executes supervised campaign
-//! jobs (see `gwc_harness`).
+//! Shared helpers for the benchmark harness and the `repro` binary: the
+//! one workload runner ([`simulate_workload`] and [`record_workload`]),
+//! per-experiment report builders, and the [`ReproRunner`] that executes
+//! supervised campaign jobs (see `gwc_harness`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,118 +11,89 @@ pub mod sweep;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use gwc_api::CommandSink;
+use gwc_api::{ApiStats, CommandSink, Device, Tee, Trace};
 use gwc_core::{characterize_traced, GameCharacterization, RunConfig, Study};
 use gwc_harness::{Experiment, Job, JobError, JobProduct, JobRunner, Rung};
 use gwc_pipeline::{CancelCause, CancelToken, Gpu, GpuConfig};
+use gwc_scenarios::{ScenarioConfig, ScenarioDemo, ScenarioSpec};
 use gwc_stats::Table;
 use gwc_telemetry::{Collector, Level};
 use gwc_workloads::{GameProfile, Timedemo, TimedemoConfig};
 
-/// Simulates `frames` frames of a named timedemo at the given resolution
-/// with an optionally customized GPU configuration.
-///
-/// # Panics
-///
-/// Panics if `name` is not a Table I timedemo.
-pub fn simulate_with(
-    name: &str,
+/// Emits `frames` frames of `workload` generated at `seed` into `sink`.
+/// `workload` is an exact Table I name or a canonical `scn:` name, as
+/// [`resolve_workload`] returns them; this is the one place such a name
+/// is matched to its generator.
+fn emit<S: CommandSink>(
+    workload: &str,
     frames: u32,
-    width: u32,
-    height: u32,
-    tweak: impl FnOnce(&mut GpuConfig),
-) -> Gpu {
-    simulate_cancellable(name, frames, width, height, None, tweak)
-        .expect("uncancellable simulation cannot be cancelled")
+    seed: u64,
+    sink: &mut S,
+) -> Result<(), String> {
+    match ScenarioSpec::parse(workload) {
+        Some(spec) => ScenarioDemo::new(spec?, ScenarioConfig { frames, seed }).emit_all(sink),
+        None => {
+            let profile = GameProfile::by_name(workload)
+                .ok_or_else(|| format!("unknown workload '{workload}'"))?;
+            Timedemo::new(profile, TimedemoConfig { frames, seed }).emit_all(sink);
+        }
+    }
+    Ok(())
 }
 
-/// [`simulate_with`], under supervision: the optional token is handed to
-/// the GPU, which charges work ticks and bails out cooperatively when it
-/// trips. Returns `None` when the run was cancelled — partial statistics
-/// are never surfaced.
+/// Simulates `frames` frames of `workload` (see [`resolve_workload`])
+/// generated at `seed` on a fresh GPU built from `config`.
 ///
-/// # Panics
+/// A telemetry collector named after the workload is attached at
+/// `level` (take it with [`Gpu::take_telemetry`]); when `api` is given it
+/// sees the same stream the GPU does. The optional token is handed to the
+/// GPU, which charges work ticks and bails out cooperatively when it
+/// trips: the result is then `Ok(None)` — partial statistics are never
+/// surfaced.
 ///
-/// Panics if `name` is not a Table I timedemo.
-pub fn simulate_cancellable(
-    name: &str,
+/// # Errors
+///
+/// `workload` names neither a Table I timedemo nor a valid scenario.
+pub fn simulate_workload(
+    workload: &str,
     frames: u32,
-    width: u32,
-    height: u32,
+    seed: u64,
+    config: GpuConfig,
     cancel: Option<&CancelToken>,
-    tweak: impl FnOnce(&mut GpuConfig),
-) -> Option<Gpu> {
-    let profile = GameProfile::by_name(name).unwrap_or_else(|| panic!("unknown demo {name}"));
-    let mut demo = Timedemo::new(profile, TimedemoConfig { frames, seed: 0x5EED });
-    let mut config = GpuConfig::r520(width, height);
-    tweak(&mut config);
+    level: Level,
+    api: Option<&mut ApiStats>,
+) -> Result<Option<Gpu>, String> {
     let mut gpu = Gpu::new(config);
     if let Some(token) = cancel {
         gpu.set_cancel_token(token.clone());
     }
-    demo.emit_all(&mut gpu);
+    if level != Level::Off {
+        gpu.enable_telemetry(level, workload, gwc_telemetry::DEFAULT_SPAN_CAPACITY);
+    }
+    match api {
+        Some(api) => emit(workload, frames, seed, &mut Tee { a: api, b: &mut gpu })?,
+        None => emit(workload, frames, seed, &mut gpu)?,
+    }
     if cancel.is_some_and(CancelToken::is_cancelled) {
-        return None;
+        return Ok(None);
     }
-    Some(gpu)
+    Ok(Some(gpu))
 }
 
-/// Simulates with the default R520 configuration.
-pub fn simulate(name: &str, frames: u32, width: u32, height: u32) -> Gpu {
-    simulate_with(name, frames, width, height, |_| {})
-}
-
-/// [`simulate_with`] with a telemetry collector attached at `level`.
-/// Returns the GPU and the collector (which is `None` when `level` is
-/// [`Level::Off`] — nothing was observed, nothing to export).
+/// Records `frames` frames of `workload` (see [`resolve_workload`])
+/// generated at `seed` through a validating [`Device`] into a replayable
+/// trace.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `name` is not a Table I timedemo.
-pub fn simulate_traced(
-    name: &str,
-    frames: u32,
-    width: u32,
-    height: u32,
-    level: Level,
-    tweak: impl FnOnce(&mut GpuConfig),
-) -> (Gpu, Option<Collector>) {
-    let profile = GameProfile::by_name(name).unwrap_or_else(|| panic!("unknown demo {name}"));
-    let mut demo = Timedemo::new(profile, TimedemoConfig { frames, seed: 0x5EED });
-    let mut config = GpuConfig::r520(width, height);
-    tweak(&mut config);
-    let mut gpu = Gpu::new(config);
-    if level != Level::Off {
-        gpu.enable_telemetry(level, name, gwc_telemetry::DEFAULT_SPAN_CAPACITY);
+/// `workload` is unknown, or it emitted a command the device rejects.
+pub fn record_workload(workload: &str, frames: u32, seed: u64) -> Result<Trace, String> {
+    let mut device = Device::new();
+    emit(workload, frames, seed, &mut device)?;
+    match device.first_error() {
+        Some(e) => Err(format!("{workload} emitted an invalid command stream: {e}")),
+        None => Ok(device.into_trace()),
     }
-    demo.emit_all(&mut gpu);
-    let collector = gpu.take_telemetry();
-    (gpu, collector)
-}
-
-/// Runs a procedural scenario with a telemetry collector attached at
-/// `level`, mirroring [`simulate_traced`] for `scn:` workloads. The
-/// trace's embedded game name is the scenario's canonical name, so the
-/// analytics layer groups scenario runs exactly like game runs. Returns
-/// the GPU and the collector (`None` at [`Level::Off`]).
-pub fn simulate_scenario_traced(
-    spec: gwc_scenarios::ScenarioSpec,
-    frames: u32,
-    width: u32,
-    height: u32,
-    seed: u64,
-    level: Level,
-) -> (Gpu, Option<Collector>) {
-    let name = spec.name();
-    let mut demo =
-        gwc_scenarios::ScenarioDemo::new(spec, gwc_scenarios::ScenarioConfig { frames, seed });
-    let mut gpu = Gpu::new(GpuConfig::r520(width, height));
-    if level != Level::Off {
-        gpu.enable_telemetry(level, &name, gwc_telemetry::DEFAULT_SPAN_CAPACITY);
-    }
-    demo.emit_all(&mut gpu);
-    let collector = gpu.take_telemetry();
-    (gpu, collector)
 }
 
 /// The `scn:` name grammar, for error messages next to the game list.
@@ -208,30 +179,6 @@ pub fn resolve_game(input: &str) -> Result<&'static str, String> {
     }
 }
 
-/// Emits a timedemo into an arbitrary sink (API-level runs).
-pub fn emit_demo<S: CommandSink>(name: &str, frames: u32, sink: &mut S) {
-    let profile = GameProfile::by_name(name).unwrap_or_else(|| panic!("unknown demo {name}"));
-    let mut demo = Timedemo::new(profile, TimedemoConfig { frames, seed: 0x5EED });
-    demo.emit_all(sink);
-}
-
-/// Records a named timedemo into a replayable [`gwc_api::Trace`].
-///
-/// # Panics
-///
-/// Panics if `name` is not a Table I timedemo.
-pub fn record_trace(name: &str, frames: u32) -> gwc_api::Trace {
-    struct Rec(gwc_api::Device);
-    impl CommandSink for Rec {
-        fn consume(&mut self, c: &gwc_api::Command) {
-            self.0.submit(c.clone()).unwrap_or_else(|e| panic!("generator emitted invalid stream: {e}"));
-        }
-    }
-    let mut rec = Rec(gwc_api::Device::new());
-    emit_demo(name, frames, &mut rec);
-    rec.0.into_trace()
-}
-
 /// The valid `--game` values, one per line, for error messages.
 pub fn game_name_list() -> String {
     GameProfile::all()
@@ -299,7 +246,7 @@ pub fn replay_job(
     token: &CancelToken,
 ) -> Result<JobProduct, JobError> {
     let frames = config.sim_frames.max(1);
-    let trace = record_trace(game, frames);
+    let trace = record_workload(game, frames, config.seed).map_err(JobError::Failed)?;
     let gpu_config = GpuConfig::r520(config.width, config.height);
     let mut gpu = Gpu::new(gpu_config);
     gpu.set_cancel_token(token.clone());
@@ -363,25 +310,30 @@ pub fn replay_job(
     Ok(JobProduct { text: out, checkpoint: saved, trace: traced })
 }
 
+/// The timedemo the design-choice ablations simulate.
+const ABLATION_GAME: &str = "Doom3/trdemo2";
+
 /// Renders the design-choice ablation report (HZ, compression, vertex
-/// cache size, filtering level). Returns `None` if the token trips
-/// mid-sweep.
+/// cache size, filtering level) on Doom3/trdemo2 generated at the
+/// config's seed. Returns `None` if the token trips mid-sweep.
 pub fn ablations_report(config: &RunConfig, cancel: Option<&CancelToken>) -> Option<String> {
     let (w, h, frames) = (config.width, config.height, config.sim_frames.max(2));
     let mut out = String::new();
-    let _ = writeln!(out, "== Ablations (Doom3/trdemo2, {frames} frames at {w}x{h}) ==\n");
+    let _ = writeln!(out, "== Ablations ({ABLATION_GAME}, {frames} frames at {w}x{h}) ==\n");
 
     // 1. Hierarchical Z on/off: fragments reaching the z&stencil stage.
+    let r520 = GpuConfig::r520(w, h);
+    let run = |gpu: GpuConfig| {
+        simulate_workload(ABLATION_GAME, frames, config.seed, gpu, cancel, Level::Off, None)
+            .expect("the ablation game is a Table I timedemo")
+    };
     let stats = |gpu: &Gpu| {
         let t = *gpu.stats().totals();
         let mem = gpu.memory().total();
         (t, mem)
     };
-    let (base_t, base_m) =
-        stats(&simulate_cancellable("Doom3/trdemo2", frames, w, h, cancel, |_| {})?);
-    let (nohz_t, nohz_m) = stats(&simulate_cancellable("Doom3/trdemo2", frames, w, h, cancel, |c| {
-        c.hierarchical_z = false;
-    })?);
+    let (base_t, base_m) = stats(&run(r520)?);
+    let (nohz_t, nohz_m) = stats(&run(GpuConfig { hierarchical_z: false, ..r520 })?);
     let mut t = Table::new("HZ ablation", &["configuration", "frags @ z&stencil", "z&stencil MB", "total MB"]);
     t.numeric();
     let mb = |b: u64| format!("{:.1}", b as f64 / (1024.0 * 1024.0));
@@ -401,10 +353,7 @@ pub fn ablations_report(config: &RunConfig, cancel: Option<&CancelToken>) -> Opt
 
     // 2. Z/color compression on/off.
     let (_nocomp_t, nocomp_m) =
-        stats(&simulate_cancellable("Doom3/trdemo2", frames, w, h, cancel, |c| {
-            c.z_compression = false;
-            c.color_compression = false;
-        })?);
+        stats(&run(GpuConfig { z_compression: false, color_compression: false, ..r520 })?);
     let mut t = Table::new("Framebuffer compression ablation", &["configuration", "z&stencil MB", "color MB", "total MB"]);
     t.numeric();
     t.row(vec![
@@ -425,9 +374,7 @@ pub fn ablations_report(config: &RunConfig, cancel: Option<&CancelToken>) -> Opt
     let mut t = Table::new("Vertex cache size sweep", &["entries", "hit rate", "vertices shaded"]);
     t.numeric();
     for entries in [4usize, 8, 16, 32, 64] {
-        let gpu = simulate_cancellable("Doom3/trdemo2", frames, w, h, cancel, |c| {
-            c.vertex_cache_entries = entries;
-        })?;
+        let gpu = run(GpuConfig { vertex_cache_entries: entries, ..r520 })?;
         let s = gpu.stats().totals();
         t.row(vec![
             entries.to_string(),
@@ -569,63 +516,48 @@ impl JobRunner for ReproRunner {
 
 /// Runs one sweep job: a `scn:` scenario cell, or a Table I reference
 /// game simulated through the same pipeline so the sweep can rank cells
-/// by feature-space distance from the paper games. The artifact carries
-/// the feature-vector CSV row plus one verdict line per declared
-/// characteristic; any violated characteristic fails the job.
+/// by feature-space distance from the paper games. The characterize gate
+/// (`profile.simulated`) is deliberately bypassed — distance ranking
+/// needs microarchitectural vectors for all twelve games. The artifact
+/// carries the feature-vector CSV row plus, for a cell, one verdict line
+/// per declared characteristic; any violated characteristic fails the
+/// job.
 fn scenario_job(game: &str, config: &RunConfig, token: &CancelToken) -> Result<JobProduct, JobError> {
-    use gwc_scenarios::{run_scenario_supervised, ScenarioConfig, ScenarioSpec};
     let frames = config.sim_frames.max(1);
-    let mut text = format!(
-        "scenario: {game} seed={} frames={frames} {}x{}\n",
-        config.seed, config.width, config.height
-    );
-    match ScenarioSpec::parse(game) {
-        Some(Ok(spec)) => {
-            let scn = ScenarioConfig { frames, seed: config.seed };
-            let run = run_scenario_supervised(spec, scn, config.width, config.height, Some(token))
-                .ok_or_else(|| cancelled_err(token))?;
-            let _ = writeln!(text, "features: {}", run.vector.to_csv_row());
-            let mut failures = Vec::new();
-            for (e, r) in &run.verdicts {
-                match r {
-                    Ok(v) => {
-                        let _ = writeln!(text, "expect: {} ok measured={v:.4}", e.describe());
-                    }
-                    Err(m) => {
-                        let _ = writeln!(text, "expect: {} FAIL {m}", e.describe());
-                        failures.push(m.clone());
-                    }
-                }
+    let (w, h) = (config.width, config.height);
+    let mut text = format!("scenario: {game} seed={} frames={frames} {w}x{h}\n", config.seed);
+    let mut api = ApiStats::new();
+    let gpu = simulate_workload(
+        game,
+        frames,
+        config.seed,
+        GpuConfig::r520(w, h),
+        Some(token),
+        Level::Off,
+        Some(&mut api),
+    )
+    .map_err(JobError::Failed)?
+    .ok_or_else(|| cancelled_err(token))?;
+    let run = gwc_scenarios::measure(game, config.seed, &api, &gpu, w, h);
+    let _ = writeln!(text, "features: {}", run.vector.to_csv_row());
+    let mut failures = Vec::new();
+    for (e, r) in &run.verdicts {
+        match r {
+            Ok(v) => {
+                let _ = writeln!(text, "expect: {} ok measured={v:.4}", e.describe());
             }
-            let _ = writeln!(text, "fb_crc: {:#010x}", run.fb_crc);
-            if !failures.is_empty() {
-                return Err(JobError::Failed(format!(
-                    "declared characteristics violated: {}",
-                    failures.join("; ")
-                )));
+            Err(m) => {
+                let _ = writeln!(text, "expect: {} FAIL {m}", e.describe());
+                failures.push(m.clone());
             }
         }
-        Some(Err(e)) => return Err(JobError::Failed(e)),
-        None => {
-            // Reference game: one emission pass through ApiStats + Gpu.
-            // The characterize gate (`profile.simulated`) is deliberately
-            // bypassed — distance ranking needs microarchitectural
-            // vectors for all twelve games.
-            let profile = GameProfile::by_name(game)
-                .ok_or_else(|| JobError::Failed(format!("unknown game '{game}'")))?;
-            let mut demo =
-                Timedemo::new(profile, TimedemoConfig { frames, seed: config.seed });
-            let mut api = gwc_api::ApiStats::new();
-            let mut gpu = Gpu::new(GpuConfig::r520(config.width, config.height));
-            gpu.set_cancel_token(token.clone());
-            demo.emit_all(&mut gwc_api::Tee { a: &mut api, b: &mut gpu });
-            if token.is_cancelled() {
-                return Err(cancelled_err(token));
-            }
-            let vector = gwc_scenarios::reduce(game, &api, &gpu, config.width, config.height);
-            let _ = writeln!(text, "features: {}", vector.to_csv_row());
-            let _ = writeln!(text, "fb_crc: {:#010x}", gpu.framebuffer_crc());
-        }
+    }
+    let _ = writeln!(text, "fb_crc: {:#010x}", run.fb_crc);
+    if !failures.is_empty() {
+        return Err(JobError::Failed(format!(
+            "declared characteristics violated: {}",
+            failures.join("; ")
+        )));
     }
     Ok(JobProduct { text, checkpoint: None, trace: None })
 }
@@ -669,7 +601,7 @@ pub fn campaign_jobs(base: RunConfig, start_rung: Rung, dir: &std::path::Path, t
     }
     jobs.push(Job {
         id: jobs.len() as u32,
-        game: "Doom3/trdemo2".to_owned(),
+        game: ABLATION_GAME.to_owned(),
         experiment: Experiment::Ablations,
         config: base,
         start_rung,

@@ -109,6 +109,8 @@ options:
   --api-frames N       API-level frames (default 300)
   --sim-frames N       simulated frames (default 4)
   --res WxH            simulated resolution (default 640x480)
+  --seed N             workload generation seed (default 24301); a sweep
+                       runs replica k of a cell at seed N+k
   --csv                emit CSV instead of aligned tables/charts
   --trace              also export per-job telemetry artifacts: 'all' and
                        table/figure runs write them to --out, campaigns
@@ -158,8 +160,6 @@ sweep options:
                        value (e.g. --grid 'archetype=all; style=prepass,
                        post; api=sorted; seeds=2')
   --dry-run            print the expanded grid and job list, run nothing
-  --seed N             base generation seed (default 24301); replica k of
-                       a cell runs at seed N+k
   --no-refs            skip the twelve reference-game jobs (faster, but
                        the summary then has no distance ranking)
 
@@ -562,7 +562,6 @@ fn supervisor_config(options: &Options) -> SupervisorConfig {
         backoff_base_ms: options.backoff_ms,
         backoff_cap_ms: options.backoff_ms.saturating_mul(50),
         breaker_threshold: options.breaker,
-        ladder: true,
         fail_fast: options.fail_fast,
     }
 }
@@ -816,10 +815,19 @@ fn run_parallel_bench(options: &Options) {
     let timed = |label: &str, geom: u32, frag: u32| {
         eprintln!("parallel bench: {} ({frames} frames at {w}x{h}), {label} pass...", options.game);
         let start = std::time::Instant::now();
-        let gpu = gwc_bench::simulate_with(&options.game, frames, w, h, |c| {
-            c.threads = frag;
-            c.geometry_threads = geom;
-        });
+        let gpu_config =
+            GpuConfig { threads: frag, geometry_threads: geom, ..GpuConfig::r520(w, h) };
+        let gpu = gwc_bench::simulate_workload(
+            &options.game,
+            frames,
+            config.seed,
+            gpu_config,
+            None,
+            gwc_telemetry::Level::Off,
+            None,
+        )
+        .unwrap_or_else(|e| bad_arg(e))
+        .expect("an uncancellable run cannot be cancelled");
         (start.elapsed().as_secs_f64(), gpu)
     };
     let (serial_secs, serial) = timed("serial", 1, 1);
@@ -894,7 +902,10 @@ fn run_parallel_bench(options: &Options) {
 fn run_replay(options: &Options) {
     let config = options.run_config();
     let frames = config.sim_frames.max(1);
-    let trace = gwc_bench::record_trace(&options.game, frames);
+    let trace = gwc_bench::record_workload(&options.game, frames, config.seed).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(1);
+    });
     let mut gpu_config = GpuConfig::r520(config.width, config.height);
     // The worker count is execution policy, not persistent state: a resume
     // under any --threads lands in the checkpoint's stripe partitioning
@@ -988,23 +999,19 @@ fn run_trace(options: &Options) -> bool {
         options.game,
         options.level.name()
     );
-    let (gpu, collector) = match gwc_scenarios::ScenarioSpec::parse(&options.game) {
-        Some(Ok(spec)) => gwc_bench::simulate_scenario_traced(
-            spec,
-            frames,
-            w,
-            h,
-            options.run_config().seed,
-            options.level,
-        ),
-        // parse_args canonicalized the name; a malformed scn: cannot
-        // reach here, but route it to the usage error all the same.
-        Some(Err(e)) => bad_arg(e),
-        None => gwc_bench::simulate_traced(&options.game, frames, w, h, options.level, |c| {
-            c.threads = options.threads
-        }),
-    };
-    let collector = collector.expect("a non-off level always yields a collector");
+    let gpu_config = GpuConfig { threads: options.threads, ..GpuConfig::r520(w, h) };
+    let mut gpu = gwc_bench::simulate_workload(
+        &options.game,
+        frames,
+        config.seed,
+        gpu_config,
+        None,
+        options.level,
+        None,
+    )
+    .unwrap_or_else(|e| bad_arg(e))
+    .expect("an uncancellable run cannot be cancelled");
+    let collector = gpu.take_telemetry().expect("a non-off level always yields a collector");
     if let Err(e) = std::fs::create_dir_all(&options.out) {
         eprintln!("repro: cannot create trace directory {}: {e}", options.out);
         std::process::exit(1);
@@ -1313,11 +1320,9 @@ fn run_serve(options: &Options) -> bool {
         policy: gwc_server::StatePolicy {
             queue_capacity: options.queue_cap,
             breaker_threshold: options.breaker,
-            ..Default::default()
         },
         wal_rotate_bytes: options.wal_rotate_bytes,
         drain_timeout: Duration::from_millis(options.drain_timeout_ms),
-        ..Default::default()
     };
     match gwc_server::run(&cfg, supervisor) {
         Ok(0) => true,

@@ -92,7 +92,7 @@ fn help_exits_zero_listing_every_flag() {
         assert_eq!(code(&out), 0, "args {args:?}: stderr: {}", stderr(&out));
         let text = stdout(&out);
         for flag in [
-            "--paper", "--quick", "--api-frames", "--sim-frames", "--res", "--csv", "--trace",
+            "--paper", "--quick", "--api-frames", "--sim-frames", "--res", "--seed", "--csv", "--trace",
             "--game", "--level", "--out", "--checkpoint-every", "--resume", "--threads", "--dir",
             "--fail-fast", "--keep-going", "--max-retries", "--deadline-ms", "--work-budget",
             "--breaker", "--backoff-ms", "--chaos", "--stop-after", "--help",

@@ -3,27 +3,35 @@
 //! over all twelve game profiles and a scenario grid, at both telemetry
 //! levels.
 
-use gwc_bench::{simulate_scenario_traced, simulate_traced};
-use gwc_scenarios::ScenarioSpec;
+use gwc_bench::simulate_workload;
+use gwc_pipeline::GpuConfig;
 use gwc_telemetry::reader::read_trace;
-use gwc_telemetry::Level;
+use gwc_telemetry::{Collector, Level};
 use gwc_workloads::GameProfile;
 
 /// Asserts `read_trace` inverts the writer: the bytes decode to exactly
 /// the snapshot they were written from.
-fn assert_roundtrip(label: &str, collector: &gwc_telemetry::Collector) {
+fn assert_roundtrip(label: &str, collector: &Collector) {
     let trace = collector.trace();
     let bytes = trace.to_binary();
     assert_eq!(read_trace(&bytes), Ok(trace), "{label}: decoded trace differs from the collector's");
+}
+
+/// Simulates `workload` at 48x36 with a collector at `level`.
+fn traced(workload: &str, frames: u32, seed: u64, level: Level) -> Collector {
+    let config = GpuConfig::r520(48, 36);
+    let mut gpu = simulate_workload(workload, frames, seed, config, None, level, None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .expect("no token, no cancellation");
+    gpu.take_telemetry()
+        .unwrap_or_else(|| panic!("{workload}: telemetry enabled but no collector"))
 }
 
 #[test]
 fn every_game_trace_roundtrips_at_both_levels() {
     for profile in GameProfile::all() {
         for level in [Level::Counters, Level::Spans] {
-            let (_, collector) = simulate_traced(profile.name, 1, 48, 36, level, |_| {});
-            let collector = collector
-                .unwrap_or_else(|| panic!("{}: telemetry enabled but no collector", profile.name));
+            let collector = traced(profile.name, 1, 0x5EED, level);
             assert_roundtrip(&format!("{} @ {level:?}", profile.name), &collector);
         }
     }
@@ -40,13 +48,6 @@ fn scenario_grid_traces_roundtrip() {
         "scn:storm+manypass+thrash",
     ];
     for name in grid {
-        let spec = match ScenarioSpec::parse(name) {
-            Some(Ok(spec)) => spec,
-            other => panic!("{name}: scenario did not parse: {other:?}"),
-        };
-        let (_, collector) = simulate_scenario_traced(spec, 2, 48, 36, 7, Level::Spans);
-        let collector =
-            collector.unwrap_or_else(|| panic!("{name}: telemetry enabled but no collector"));
-        assert_roundtrip(name, &collector);
+        assert_roundtrip(name, &traced(name, 2, 7, Level::Spans));
     }
 }

@@ -152,29 +152,24 @@ impl Study {
 /// Characterizes one timedemo: an API pass, plus a simulated pass for the
 /// demos the paper runs through ATTILA.
 pub fn characterize(profile: &'static GameProfile, config: &RunConfig) -> GameCharacterization {
-    characterize_supervised(profile, config, None)
+    characterize_traced(profile, config, None, gwc_telemetry::Level::Off)
         .expect("characterize without a token cannot be cancelled")
+        .0
 }
 
-/// [`characterize`] under supervision: the optional [`CancelToken`] is
-/// polled between generated frames and inside the GPU pipeline loops
-/// (work ticks are charged per command, triangle, and quad). A tripped
-/// token aborts the pass and returns `None` — partial characterizations
-/// are never surfaced, so a supervisor retry starts from a clean slate.
-pub fn characterize_supervised(
-    profile: &'static GameProfile,
-    config: &RunConfig,
-    cancel: Option<&CancelToken>,
-) -> Option<GameCharacterization> {
-    characterize_traced(profile, config, cancel, gwc_telemetry::Level::Off).map(|(c, _)| c)
-}
-
-/// [`characterize_supervised`] with a telemetry collector attached to the
-/// simulated pass at `level`. Returns the collector alongside the
-/// characterization so callers can export its trace; it is `None` when
-/// `level` is `Off` or the profile has no simulated pass. A collector
-/// never changes the characterization itself — the work-tick clock runs
-/// either way.
+/// [`characterize`] under supervision, with a telemetry collector
+/// attached to the simulated pass at `level`.
+///
+/// The optional [`CancelToken`] is polled between generated frames and
+/// inside the GPU pipeline loops (work ticks are charged per command,
+/// triangle, and quad). A tripped token aborts the pass and returns
+/// `None` — partial characterizations are never surfaced, so a
+/// supervisor retry starts from a clean slate.
+///
+/// The collector is returned alongside the characterization so callers
+/// can export its trace; it is `None` when `level` is `Off` or the
+/// profile has no simulated pass. A collector never changes the
+/// characterization itself — the work-tick clock runs either way.
 pub fn characterize_traced(
     profile: &'static GameProfile,
     config: &RunConfig,

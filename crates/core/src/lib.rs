@@ -32,5 +32,5 @@ pub mod tables;
 
 mod characterize;
 
-pub use characterize::{characterize, characterize_supervised, characterize_traced, run_study,
+pub use characterize::{characterize, characterize_traced, run_study,
                        GameCharacterization, RunConfig, SimResults, Study};

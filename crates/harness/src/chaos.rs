@@ -24,7 +24,7 @@ pub enum ChaosBehavior {
     /// Panic on the first attempt, then behave (→ `Retried`).
     PanicOnce,
     /// Fail with a typed error unless the attempt runs at the `quick`
-    /// rung (→ `Degraded` when the ladder is on).
+    /// rung (→ `Degraded`).
     FailAboveQuick,
     /// Spin charging work ticks until cancelled (→ `TimedOut`).
     Hang,

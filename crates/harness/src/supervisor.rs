@@ -18,6 +18,8 @@ use std::thread;
 use std::time::Duration;
 
 use gwc_pipeline::{CancelCause, CancelToken};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::job::{
     AttemptRecord, AttemptResult, Job, JobError, JobProduct, JobReport, Outcome, Rung,
@@ -47,8 +49,6 @@ pub struct SupervisorConfig {
     /// Consecutive failed jobs on one game before its breaker opens and
     /// later jobs for that game are skipped (0 disables the breaker).
     pub breaker_threshold: u32,
-    /// Whether exhausted jobs are re-admitted one rung down the ladder.
-    pub ladder: bool,
     /// Stop admitting any further jobs after the first failed one.
     pub fail_fast: bool,
 }
@@ -64,7 +64,6 @@ impl Default for SupervisorConfig {
             backoff_base_ms: 100,
             backoff_cap_ms: 5_000,
             breaker_threshold: 3,
-            ladder: true,
             fail_fast: false,
         }
     }
@@ -86,17 +85,6 @@ pub trait JobRunner: Send + Sync {
         attempt: u32,
         token: &CancelToken,
     ) -> Result<JobProduct, JobError>;
-}
-
-/// SplitMix64 — the same tiny PRNG the fault injector uses, here for
-/// backoff jitter. Keyed per `(seed, job, rung, attempt)` so schedules
-/// are reproducible and independent of execution order.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Per-campaign admission state: circuit breakers and the fail-fast
@@ -184,7 +172,7 @@ impl Supervisor {
     }
 
     /// Deterministic full-jitter backoff for the given attempt: a
-    /// SplitMix64 draw over `[0, min(cap, base * 2^attempt)]`.
+    /// seeded `StdRng` draw over `[0, min(cap, base * 2^attempt)]`.
     pub fn backoff_ms(&self, job_id: u32, rung: Rung, attempt: u32) -> u64 {
         let window = self
             .config
@@ -201,7 +189,9 @@ impl Supervisor {
             .wrapping_add(u64::from(job_id) << 32)
             .wrapping_add(u64::from(rung as u8) << 16)
             .wrapping_add(u64::from(attempt));
-        splitmix64(key) % (window + 1)
+        // The first draw of a generator keyed per (seed, job, rung,
+        // attempt): reproducible and independent of execution order.
+        StdRng::seed_from_u64(key).next_u64() % (window + 1)
     }
 
     /// Runs one job through the retry/ladder state machine (no breaker
@@ -214,7 +204,7 @@ impl Supervisor {
                 let (result, work, product) = self.run_attempt(job, rung, attempt);
                 let ok = matches!(result, AttemptResult::Ok);
                 let last_of_rung = attempt == self.config.max_retries;
-                let will_degrade = self.config.ladder && rung.degrade().is_some();
+                let will_degrade = rung.degrade().is_some();
                 let more_to_come = !ok && (!last_of_rung || will_degrade);
                 let backoff_ms =
                     if more_to_come { self.backoff_ms(job.id, rung, attempt) } else { 0 };
@@ -253,8 +243,8 @@ impl Supervisor {
                 }
             }
             match rung.degrade() {
-                Some(next) if self.config.ladder => rung = next,
-                _ => break,
+                Some(next) => rung = next,
+                None => break,
             }
         }
         // Exhausted: classify by the final attempt (the last word wins).

@@ -65,6 +65,12 @@ fn job(id: u32, game: &str) -> Job {
     }
 }
 
+/// [`job`] admitted at the bottom rung of the ladder, where there is
+/// nothing to degrade to: exhausting its retries ends it.
+fn quick_job(id: u32, game: &str) -> Job {
+    Job { start_rung: Rung::Quick, ..job(id, game) }
+}
+
 fn fast_config() -> SupervisorConfig {
     SupervisorConfig {
         seed: 0xFEE7,
@@ -75,7 +81,6 @@ fn fast_config() -> SupervisorConfig {
         backoff_base_ms: 1,
         backoff_cap_ms: 4,
         breaker_threshold: 3,
-        ladder: true,
         fail_fast: false,
     }
 }
@@ -167,11 +172,10 @@ fn wall_clock_deadline_abandons_a_non_polling_thread() {
         deadline: Duration::from_millis(50),
         grace: Duration::from_millis(30),
         max_retries: 0,
-        ladder: false,
         ..fast_config()
     };
     let sup = Supervisor::new(config, runner as Arc<dyn JobRunner>);
-    let report = sup.run_job(&job(3, "Quake4/demo4"));
+    let report = sup.run_job(&quick_job(3, "Quake4/demo4"));
     assert_eq!(report.outcome, Outcome::TimedOut);
     assert_eq!(report.attempts.len(), 1);
     assert!(
@@ -190,9 +194,9 @@ fn panicking_job_is_contained_and_classified() {
     let runner = Scripted::new(Box::new(|job: &Job, _, _, _| {
         panic!("injected panic for job {}", job.id)
     }));
-    let config = SupervisorConfig { max_retries: 0, ladder: false, ..fast_config() };
+    let config = SupervisorConfig { max_retries: 0, ..fast_config() };
     let sup = Supervisor::new(config, runner as Arc<dyn JobRunner>);
-    let report = sup.run_job(&job(9, "Half Life 2 LC/built-in"));
+    let report = sup.run_job(&quick_job(9, "Half Life 2 LC/built-in"));
     assert_eq!(report.outcome, Outcome::Panicked);
     assert!(report.detail.contains("injected panic for job 9"), "detail: {}", report.detail);
     assert!(report.product.is_none());
@@ -233,16 +237,15 @@ fn circuit_breaker_trips_per_game_after_threshold() {
     let config = SupervisorConfig {
         breaker_threshold: 2,
         max_retries: 0,
-        ladder: false,
         ..fast_config()
     };
     let sup = Supervisor::new(config, runner.clone() as Arc<dyn JobRunner>);
     let jobs = [
-        job(0, "Oblivion/Anvil Castle"),
-        job(1, "Riddick/MainFrame"),
-        job(2, "Oblivion/Anvil Castle"),
-        job(3, "Oblivion/Anvil Castle"), // breaker is open by now
-        job(4, "Riddick/MainFrame"),
+        quick_job(0, "Oblivion/Anvil Castle"),
+        quick_job(1, "Riddick/MainFrame"),
+        quick_job(2, "Oblivion/Anvil Castle"),
+        quick_job(3, "Oblivion/Anvil Castle"), // breaker is open by now
+        quick_job(4, "Riddick/MainFrame"),
     ];
     let reports = sup.run_jobs(&jobs);
     let outcomes: Vec<Outcome> = reports.iter().map(|r| r.outcome).collect();
@@ -269,11 +272,10 @@ fn fail_fast_stops_admitting_after_first_failure() {
     let config = SupervisorConfig {
         fail_fast: true,
         max_retries: 0,
-        ladder: false,
         ..fast_config()
     };
     let sup = Supervisor::new(config, runner.clone() as Arc<dyn JobRunner>);
-    let jobs = [job(0, "A/a"), job(1, "B/b"), job(2, "C/c"), job(3, "D/d")];
+    let jobs = [quick_job(0, "A/a"), quick_job(1, "B/b"), quick_job(2, "C/c"), quick_job(3, "D/d")];
     let reports = sup.run_jobs(&jobs);
     assert_eq!(reports[0].outcome, Outcome::Ok);
     assert_eq!(reports[1].outcome, Outcome::Skipped); // exhausted typed failure
@@ -363,7 +365,7 @@ fn interrupted_campaign_resumes_bit_identically() {
 
 #[test]
 fn resume_reruns_jobs_with_damaged_artifacts() {
-    let config = SupervisorConfig { max_retries: 0, ladder: false, ..fast_config() };
+    let config = SupervisorConfig { max_retries: 0, ..fast_config() };
     let dir = temp_dir("damaged-artifact");
     let healthy: Behavior = Box::new(|job: &Job, rung, _, _| {
         Ok(product(&format!("result for job {} at {}", job.id, rung.name())))

@@ -1,5 +1,8 @@
 //! Per-client memory traffic accounting.
 
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+
 /// The GPU units that generate memory traffic, matching the stages of the
 /// paper's Table XVI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,22 +170,11 @@ pub struct MemoryController {
 /// after each command and classifies hits as memory faults.
 #[derive(Debug, Clone, PartialEq)]
 struct ReadFaultInjector {
-    state: u64,
+    rng: StdRng,
     rate_ppm: u32,
     pending: u64,
     pending_client: Option<MemClient>,
     total: u64,
-}
-
-impl ReadFaultInjector {
-    fn next(&mut self) -> u64 {
-        // SplitMix64: tiny, seedable, good enough for a corruption coin.
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
 }
 
 impl MemoryController {
@@ -196,7 +188,7 @@ impl MemoryController {
     /// A `rate_ppm` of 0 disarms the injector.
     pub fn enable_fault_injection(&mut self, seed: u64, rate_ppm: u32) {
         self.injector = (rate_ppm > 0).then_some(ReadFaultInjector {
-            state: seed,
+            rng: StdRng::seed_from_u64(seed),
             rate_ppm,
             pending: 0,
             pending_client: None,
@@ -226,7 +218,7 @@ impl MemoryController {
         self.current.clients[client.index()].read += bytes;
         if bytes > 0 {
             if let Some(inj) = self.injector.as_mut() {
-                if inj.next() % 1_000_000 < inj.rate_ppm as u64 {
+                if inj.rng.next_u64() % 1_000_000 < inj.rate_ppm as u64 {
                     inj.pending += 1;
                     inj.total += 1;
                     inj.pending_client.get_or_insert(client);

@@ -118,8 +118,6 @@ pub(crate) struct DrawPacket<'a> {
 /// framebuffer surfaces, the stripe's persistent units, a private shader
 /// machine clone, and a statistics shard.
 pub(crate) struct StripeJob<'a> {
-    /// Stripe index (row band `index * stripe_rows ..`).
-    pub index: usize,
     /// First row of the stripe.
     pub y0: u32,
     /// One past the last row of the stripe.
@@ -166,8 +164,6 @@ pub(crate) struct StripeTrace {
 /// What a stripe hands back after its draw flush: everything the master
 /// needs to reduce, in plain owned data (the band-view borrows end here).
 pub(crate) struct StripeOutcome {
-    /// Stripe index; outcomes are reduced in ascending index order.
-    pub index: usize,
     /// Statistics shard.
     pub shard: FrameSimStats,
     /// Hierarchical-Z quads tested in this stripe.
@@ -231,7 +227,6 @@ impl StripeJob<'_> {
             trace.ring
         });
         StripeOutcome {
-            index: self.index,
             shard: self.shard,
             hz_tested: self.hz.tested(),
             hz_rejected: self.hz.rejected(),

@@ -192,7 +192,7 @@ fn plan(req: &GeomRequest<'_>) -> Plan {
 /// than one worker, jobs are dealt round-robin (worker `w` owns jobs
 /// `w, w+W, …`) under a `std::thread::scope` — purely a scheduling
 /// choice, invisible in the results.
-fn run_chunks<J: Send, R: Send>(
+pub(crate) fn run_chunks<J: Send, R: Send>(
     jobs: Vec<J>,
     workers: usize,
     f: impl Fn(usize, J) -> R + Sync,

@@ -20,7 +20,7 @@ use crate::checkpoint::{self, CheckpointError, Dec, Enc, SectionWriter};
 use crate::colorbuffer::ColorBuffer;
 use crate::config::GpuConfig;
 use crate::error::{FaultKind, FaultPolicy, SimError};
-use crate::fragment::{DrawPacket, StripeJob, StripeOutcome, StripeTrace, StripeUnits};
+use crate::fragment::{DrawPacket, StripeJob, StripeTrace, StripeUnits};
 use crate::geometry::{self, GeomRequest, SetupState};
 use crate::stats::{FrameSimStats, SimStats};
 use crate::streamer::VertexCache;
@@ -656,7 +656,6 @@ impl Gpu {
             .map(|(i, (((((z, hz), color), z_dir), color_dir), units))| {
                 let y0 = i as u32 * stripe_rows;
                 StripeJob {
-                    index: i,
                     y0,
                     y1: (y0 + stripe_rows).min(height),
                     z,
@@ -678,49 +677,13 @@ impl Gpu {
             }
         }
 
-        let workers = (self.threads as usize).min(jobs.len()).max(1);
-        let mut outcomes: Vec<StripeOutcome> = if workers == 1 {
-            // Serial path: the same per-stripe code, run inline in stripe
-            // order — parallel runs are bit-identical by construction.
-            jobs.into_iter()
-                .map(|mut job| {
-                    job.run(&packet);
-                    job.finish()
-                })
-                .collect()
-        } else {
-            // Interleaved assignment: worker w owns stripes w, w+W, … —
-            // purely a scheduling choice, invisible in the results.
-            let mut buckets: Vec<Vec<StripeJob<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, job) in jobs.into_iter().enumerate() {
-                buckets[i % workers].push(job);
-            }
-            std::thread::scope(|scope| {
-                let packet = &packet;
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|bucket| {
-                        scope.spawn(move || {
-                            bucket
-                                .into_iter()
-                                .map(|mut job| {
-                                    job.run(packet);
-                                    job.finish()
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| match h.join() {
-                        Ok(outcomes) => outcomes,
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    })
-                    .collect()
-            })
-        };
-        outcomes.sort_by_key(|o| o.index);
+        // Stripes are dealt round-robin to the workers (a scheduling
+        // choice, invisible in the results); outcomes come back in stripe
+        // order, so parallel runs are bit-identical to serial ones.
+        let mut outcomes = geometry::run_chunks(jobs, self.threads as usize, |_, mut job| {
+            job.run(&packet);
+            job.finish()
+        });
 
         // Deterministic reduction in stripe order: every merged quantity
         // is a plain sum, and traffic/faults are absorbed lowest stripe

@@ -6,8 +6,8 @@
 //! 8×8 tiles to 2×2 fragment *quads* — the working unit of the whole
 //! fragment pipeline — plus the supporting stages around it:
 //!
-//! - near-plane [`clip`]ping and trivial frustum rejection,
-//! - back/front-face culling in [`setup`],
+//! - near-plane clipping ([`clip_near`]) and trivial frustum rejection,
+//! - back/front-face culling in [`TriangleSetup`],
 //! - perspective-correct attribute interpolation,
 //! - a [`DepthStencilBuffer`] with the full comparison/op vocabulary the
 //!   stencil-shadow games need,

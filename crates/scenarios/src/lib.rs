@@ -35,7 +35,7 @@ mod spec;
 
 pub use emitter::{ScenarioConfig, ScenarioDemo};
 pub use expect::{expectations, Expectation};
-pub use measure::{reduce, run_scenario, run_scenario_supervised, ScenarioRun};
+pub use measure::{measure, ScenarioRun};
 pub use spec::{
     ApiStyle, Archetype, GridCell, GridError, GridSpec, RenderStyle, ScenarioSpec,
     SCENARIO_PREFIX,

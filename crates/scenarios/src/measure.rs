@@ -1,29 +1,30 @@
-//! Running a scenario through the simulated pipeline and reducing the
-//! counters to an AIWC-style feature vector.
+//! Measuring a simulated run: the counters of one emission pass reduced
+//! to an AIWC-style feature vector, plus the verdicts on a scenario's
+//! declared characteristics.
 //!
-//! One emission pass feeds both the API-statistics sink and the GPU via
+//! The pass must feed both the API-statistics sink and the GPU via
 //! [`gwc_api::Tee`], so the API-level and microarchitectural views come
-//! from the *same* command stream.
+//! from the *same* command stream. Scenario cells and the Table I
+//! reference games they are ranked against are measured alike.
 
-use gwc_api::{ApiStats, Tee};
+use gwc_api::ApiStats;
 use gwc_mem::MemClient;
-use gwc_pipeline::{CancelToken, Gpu, GpuConfig};
+use gwc_pipeline::Gpu;
 use gwc_stats::{FeatureInputs, FeatureVector};
 
-use crate::emitter::{ScenarioConfig, ScenarioDemo};
 use crate::expect::{expectations, Expectation};
 use crate::spec::ScenarioSpec;
 
-/// The outcome of one simulated scenario run.
+/// The measurement of one simulated run.
 #[derive(Debug, Clone)]
 pub struct ScenarioRun {
-    /// The scenario that ran.
-    pub spec: ScenarioSpec,
-    /// The measured feature vector (labelled `<name>#<seed>`).
+    /// The measured feature vector (labelled `<name>#<seed>` for a
+    /// scenario, the bare name for a Table I game).
     pub vector: FeatureVector,
     /// Framebuffer CRC-32 after the last frame (determinism witness).
     pub fb_crc: u32,
-    /// Declared-characteristics verdicts: (expectation, result).
+    /// Declared-characteristics verdicts: (expectation, result). Empty
+    /// for a Table I game, which declares none.
     pub verdicts: Vec<(Expectation, Result<f64, String>)>,
 }
 
@@ -34,54 +35,37 @@ impl ScenarioRun {
     }
 }
 
-/// Runs `spec` at `config` through the simulated pipeline at the given
-/// resolution and reduces the counters to a feature vector plus the
-/// declared-characteristics verdicts.
-pub fn run_scenario(
-    spec: ScenarioSpec,
-    config: ScenarioConfig,
+/// Measures a finished run of `workload` — a `scn:` scenario or a
+/// Table I game — emitted at `seed` through `api` and `gpu` at the given
+/// resolution: the feature vector, the framebuffer CRC, and, for a
+/// scenario, the verdicts on its declared characteristics.
+pub fn measure(
+    workload: &str,
+    seed: u64,
+    api: &ApiStats,
+    gpu: &Gpu,
     width: u32,
     height: u32,
 ) -> ScenarioRun {
-    run_scenario_supervised(spec, config, width, height, None)
-        .expect("run without a token cannot be cancelled")
-}
-
-/// [`run_scenario`] under supervision: the GPU charges work ticks to the
-/// token, and a tripped token aborts the run and returns `None` (partial
-/// measurements are never surfaced).
-pub fn run_scenario_supervised(
-    spec: ScenarioSpec,
-    config: ScenarioConfig,
-    width: u32,
-    height: u32,
-    cancel: Option<&CancelToken>,
-) -> Option<ScenarioRun> {
-    let mut demo = ScenarioDemo::new(spec, config);
-    let mut api = ApiStats::new();
-    let mut gpu = Gpu::new(GpuConfig::r520(width, height));
-    if let Some(tok) = cancel {
-        gpu.set_cancel_token(tok.clone());
-    }
-    demo.emit_all(&mut Tee { a: &mut api, b: &mut gpu });
-    if cancel.is_some_and(CancelToken::is_cancelled) {
-        return None;
-    }
-
-    let label = format!("{}#{}", spec.name(), config.seed);
-    let vector = reduce(&label, &api, &gpu, width, height);
-    let verdicts = expectations(spec)
+    let spec = ScenarioSpec::parse(workload).and_then(Result::ok);
+    let label = match spec {
+        Some(spec) => format!("{}#{seed}", spec.name()),
+        None => workload.to_owned(),
+    };
+    let vector = reduce(&label, api, gpu, width, height);
+    let verdicts = spec
+        .map_or_else(Vec::new, expectations)
         .into_iter()
         .map(|e| {
             let r = e.check(&vector);
             (e, r)
         })
         .collect();
-    Some(ScenarioRun { spec, vector, fb_crc: gpu.framebuffer_crc(), verdicts })
+    ScenarioRun { vector, fb_crc: gpu.framebuffer_crc(), verdicts }
 }
 
 /// Reduces a finished (ApiStats, Gpu) pair to a labelled feature vector.
-pub fn reduce(label: &str, api: &ApiStats, gpu: &Gpu, width: u32, height: u32) -> FeatureVector {
+fn reduce(label: &str, api: &ApiStats, gpu: &Gpu, width: u32, height: u32) -> FeatureVector {
     let sim = gpu.stats().totals();
     let traffic = gpu.memory().total();
     let total_bytes = traffic.total() as f64;

@@ -8,13 +8,14 @@
 //! archetype must actually deliver the characteristic it advertises.
 //!
 //! Runs here are deliberately small (two frames at 160x120) so the suite
-//! stays affordable in debug builds; the wider 80-scenario matrix is
-//! covered by `examples/smoke.rs` in release mode.
+//! stays affordable in debug builds; `repro sweep --grid
+//! 'archetype=all; style=all; api=all'` runs the whole 80-scenario grid
+//! in release mode.
 
 use gwc_api::{encode_commands, ApiStats, Command, CommandSink, Tee};
 use gwc_pipeline::{Gpu, GpuConfig};
 use gwc_scenarios::{
-    reduce, run_scenario, ApiStyle, Archetype, RenderStyle, ScenarioConfig, ScenarioDemo,
+    measure, ApiStyle, Archetype, RenderStyle, ScenarioConfig, ScenarioDemo, ScenarioRun,
     ScenarioSpec,
 };
 
@@ -73,13 +74,9 @@ fn different_seeds_emit_distinct_streams() {
     }
 }
 
-/// Runs one scenario at an explicit simulator thread count and reduces
-/// it exactly the way `run_scenario` does.
-fn vector_at_threads(
-    s: ScenarioSpec,
-    config: ScenarioConfig,
-    threads: u32,
-) -> (String, u32) {
+/// Runs one scenario through API statistics and a GPU with `threads`
+/// workers in one emission pass, and measures it.
+fn run_at_threads(s: ScenarioSpec, config: ScenarioConfig, threads: u32) -> ScenarioRun {
     let mut demo = ScenarioDemo::new(s, config);
     let mut api = ApiStats::new();
     let mut gpu_config = GpuConfig::r520(W, H);
@@ -87,25 +84,28 @@ fn vector_at_threads(
     gpu_config.geometry_threads = threads;
     let mut gpu = Gpu::new(gpu_config);
     demo.emit_all(&mut Tee { a: &mut api, b: &mut gpu });
-    let label = format!("{}#{}", s.name(), config.seed);
-    (reduce(&label, &api, &gpu, W, H).to_csv_row(), gpu.framebuffer_crc())
+    measure(&s.name(), config.seed, &api, &gpu, W, H)
 }
 
 #[test]
 fn feature_vector_is_identical_across_thread_counts() {
     let s = spec(Archetype::Storm, RenderStyle::Stencil, ApiStyle::Thrash);
     let config = ScenarioConfig { frames: 2, seed: 7 };
-    let (serial, crc_serial) = vector_at_threads(s, config, 1);
-    let (parallel, crc_parallel) = vector_at_threads(s, config, 4);
-    assert_eq!(serial, parallel, "feature vector depends on worker thread count");
-    assert_eq!(crc_serial, crc_parallel, "framebuffer depends on worker thread count");
+    let serial = run_at_threads(s, config, 1);
+    let parallel = run_at_threads(s, config, 4);
+    assert_eq!(
+        serial.vector.to_csv_row(),
+        parallel.vector.to_csv_row(),
+        "feature vector depends on worker thread count"
+    );
+    assert_eq!(serial.fb_crc, parallel.fb_crc, "framebuffer depends on worker thread count");
 }
 
 #[test]
 fn different_seeds_reduce_to_distinct_vectors() {
     let s = spec(Archetype::Foliage, RenderStyle::Prepass, ApiStyle::Sorted);
-    let a = run_scenario(s, ScenarioConfig { frames: 2, seed: 7 }, W, H);
-    let b = run_scenario(s, ScenarioConfig { frames: 2, seed: 8 }, W, H);
+    let a = run_at_threads(s, ScenarioConfig { frames: 2, seed: 7 }, 1);
+    let b = run_at_threads(s, ScenarioConfig { frames: 2, seed: 8 }, 1);
     assert_ne!(
         a.vector.to_csv_row().split_once(',').unwrap().1,
         b.vector.to_csv_row().split_once(',').unwrap().1,
@@ -117,7 +117,7 @@ fn different_seeds_reduce_to_distinct_vectors() {
 fn every_archetype_delivers_its_declared_characteristics() {
     for archetype in Archetype::ALL {
         let s = spec(archetype, RenderStyle::Prepass, ApiStyle::Sorted);
-        let run = run_scenario(s, ScenarioConfig { frames: 2, seed: 0x5EED }, W, H);
+        let run = run_at_threads(s, ScenarioConfig { frames: 2, seed: 0x5EED }, 1);
         for (e, r) in &run.verdicts {
             assert!(
                 r.is_ok(),

@@ -65,6 +65,9 @@ pub const ADDR_FILE: &str = "addr";
 /// How often the accept loop and idle workers poll for drain signals.
 const POLL_INTERVAL: Duration = Duration::from_millis(15);
 
+/// Concurrent connection cap; excess connections get an instant 503.
+const MAX_CONNECTIONS: usize = 32;
+
 /// Daemon configuration (the `repro serve` flags).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -79,8 +82,6 @@ pub struct ServeConfig {
     pub policy: StatePolicy,
     /// Journal size that triggers compacting rotation.
     pub wal_rotate_bytes: u64,
-    /// Concurrent connection cap; excess connections get an instant 503.
-    pub max_connections: usize,
     /// How long a graceful drain may wait on in-flight jobs before the
     /// daemon forces exit (code 3). A second SIGTERM/SIGINT forces it
     /// immediately.
@@ -95,7 +96,6 @@ impl Default for ServeConfig {
             workers: 2,
             policy: StatePolicy::default(),
             wal_rotate_bytes: 256 * 1024,
-            max_connections: 32,
             drain_timeout: Duration::from_secs(600),
         }
     }
@@ -144,7 +144,7 @@ impl Shared {
 
 /// Returns a connection slot on drop, so the count stays correct even
 /// when the handler panics or its thread was never spawned — a leaked
-/// slot would count toward `max_connections` forever.
+/// slot would count toward [`MAX_CONNECTIONS`] forever.
 struct ConnGuard(Arc<Shared>);
 
 impl Drop for ConnGuard {
@@ -237,7 +237,7 @@ pub fn run(cfg: &ServeConfig, supervisor: Supervisor) -> io::Result<i32> {
     while !sig::requested() {
         match listener.accept() {
             Ok((stream, peer)) => {
-                if shared.conns.load(Ordering::SeqCst) >= cfg.max_connections {
+                if shared.conns.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
                     let mut stream = stream;
                     http::Response::text(503, "connection limit reached\n")
                         .with_header("Retry-After", "1")

@@ -101,6 +101,15 @@ pub enum Admission {
     Draining,
 }
 
+/// How long the global breaker stays open before half-opening.
+const BREAKER_COOLDOWN: Duration = Duration::from_secs(30);
+
+/// Consecutive request errors that open a client's breaker.
+const CLIENT_ERROR_THRESHOLD: u32 = 8;
+
+/// How long a client breaker stays open.
+const CLIENT_COOLDOWN: Duration = Duration::from_secs(10);
+
 /// Tunables for the state machine (a subset of the full server config).
 #[derive(Debug, Clone)]
 pub struct StatePolicy {
@@ -109,24 +118,11 @@ pub struct StatePolicy {
     /// Consecutive job failures that open the global breaker
     /// (0 disables it).
     pub breaker_threshold: u32,
-    /// How long the global breaker stays open before half-opening.
-    pub breaker_cooldown: Duration,
-    /// Consecutive request errors that open a client's breaker
-    /// (0 disables it).
-    pub client_error_threshold: u32,
-    /// How long a client breaker stays open.
-    pub client_cooldown: Duration,
 }
 
 impl Default for StatePolicy {
     fn default() -> Self {
-        StatePolicy {
-            queue_capacity: 16,
-            breaker_threshold: 5,
-            breaker_cooldown: Duration::from_secs(30),
-            client_error_threshold: 8,
-            client_cooldown: Duration::from_secs(10),
-        }
+        StatePolicy { queue_capacity: 16, breaker_threshold: 5 }
     }
 }
 
@@ -295,14 +291,14 @@ impl DaemonState {
                 self.breaker = if success {
                     Breaker::Closed { consecutive_failures: 0 }
                 } else {
-                    Breaker::Open { until: now + self.policy.breaker_cooldown }
+                    Breaker::Open { until: now + BREAKER_COOLDOWN }
                 };
             }
             Breaker::HalfOpen { .. } | Breaker::Open { .. } => {}
             Breaker::Closed { consecutive_failures } => {
                 let failures = if success { 0 } else { consecutive_failures + 1 };
                 self.breaker = if failures >= self.policy.breaker_threshold {
-                    Breaker::Open { until: now + self.policy.breaker_cooldown }
+                    Breaker::Open { until: now + BREAKER_COOLDOWN }
                 } else {
                     Breaker::Closed { consecutive_failures: failures }
                 };
@@ -328,17 +324,14 @@ impl DaemonState {
 
     /// Feeds one request verdict into `client`'s breaker.
     pub fn record_client(&mut self, client: &str, error: bool, now: Instant) {
-        if self.policy.client_error_threshold == 0 {
-            return;
-        }
         let record = self.clients.entry(client.to_owned()).or_default();
         if !error {
             record.consecutive_errors = 0;
             return;
         }
         record.consecutive_errors += 1;
-        if record.consecutive_errors >= self.policy.client_error_threshold {
-            record.open_until = Some(now + self.policy.client_cooldown);
+        if record.consecutive_errors >= CLIENT_ERROR_THRESHOLD {
+            record.open_until = Some(now + CLIENT_COOLDOWN);
         }
     }
 
@@ -481,11 +474,7 @@ mod tests {
     #[test]
     fn global_breaker_opens_half_opens_and_recloses() {
         let now = Instant::now();
-        let policy = StatePolicy {
-            breaker_threshold: 2,
-            breaker_cooldown: Duration::from_secs(10),
-            ..StatePolicy::default()
-        };
+        let policy = StatePolicy { breaker_threshold: 2, ..StatePolicy::default() };
         let mut s = ready_state(policy);
         run_one(&mut s, spec("Doom3/trdemo2", 1), Outcome::Panicked, now);
         run_one(&mut s, spec("Doom3/trdemo2", 2), Outcome::TimedOut, now);
@@ -495,7 +484,7 @@ mod tests {
             other => panic!("expected ShedBreakerOpen, got {other:?}"),
         }
         // After the cool-down, exactly one probe is admitted...
-        let later = now + Duration::from_secs(11);
+        let later = now + BREAKER_COOLDOWN + Duration::from_secs(1);
         let probe = match s.admit(spec("Doom3/trdemo2", 3), later) {
             Admission::Admit(sp) => sp,
             other => panic!("expected probe Admit, got {other:?}"),
@@ -525,12 +514,7 @@ mod tests {
         // queue left a probe hash that was never admitted — and HalfOpen
         // has no timeout, so every later submission shed forever.
         let now = Instant::now();
-        let policy = StatePolicy {
-            queue_capacity: 1,
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_secs(10),
-            ..StatePolicy::default()
-        };
+        let policy = StatePolicy { queue_capacity: 1, breaker_threshold: 1 };
         let mut s = ready_state(policy);
         // Open the breaker with one failure, while another job sits
         // queued (admitted before the failure) filling the queue.
@@ -550,7 +534,7 @@ mod tests {
         s.commit_done(&failing_hash, e, now);
         // Cool-down over, queue full: the probe candidate is shed on
         // queue capacity, not on the breaker...
-        let later = now + Duration::from_secs(11);
+        let later = now + BREAKER_COOLDOWN + Duration::from_secs(1);
         match s.admit(spec("Doom3/trdemo2", 3), later) {
             Admission::ShedQueueFull(_) => {}
             other => panic!("expected ShedQueueFull, got {other:?}"),
@@ -586,25 +570,22 @@ mod tests {
     #[test]
     fn client_breaker_bounces_spammers_then_forgives() {
         let now = Instant::now();
-        let policy = StatePolicy {
-            client_error_threshold: 3,
-            client_cooldown: Duration::from_secs(5),
-            ..StatePolicy::default()
-        };
-        let mut s = ready_state(policy);
-        for _ in 0..3 {
+        let mut s = ready_state(StatePolicy::default());
+        for _ in 0..CLIENT_ERROR_THRESHOLD {
             assert!(s.client_banned("10.0.0.9", now).is_none());
             s.record_client("10.0.0.9", true, now);
         }
-        assert!(s.client_banned("10.0.0.9", now).is_some(), "third strike bans");
+        assert!(s.client_banned("10.0.0.9", now).is_some(), "the last strike bans");
         assert!(s.client_banned("10.0.0.8", now).is_none(), "other clients unaffected");
-        let later = now + Duration::from_secs(6);
+        let later = now + CLIENT_COOLDOWN + Duration::from_secs(1);
         assert!(s.client_banned("10.0.0.9", later).is_none(), "cool-down forgives");
-        // A success resets the strike counter.
+        // A success resets the strike counter: one strike short of a ban
+        // after it, whatever came before.
         s.record_client("10.0.0.9", true, later);
         s.record_client("10.0.0.9", false, later);
-        s.record_client("10.0.0.9", true, later);
-        s.record_client("10.0.0.9", true, later);
+        for _ in 1..CLIENT_ERROR_THRESHOLD {
+            s.record_client("10.0.0.9", true, later);
+        }
         assert!(s.client_banned("10.0.0.9", later).is_none());
     }
 

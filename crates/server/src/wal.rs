@@ -22,7 +22,7 @@
 //!
 //! # Recovery
 //!
-//! [`replay`] scans frames until the first torn or corrupt one — a
+//! [`scan`] reads frames until the first torn or corrupt one — a
 //! partial length prefix, a short payload, a CRC mismatch, or an
 //! unparseable document — and reports the byte length of the valid
 //! prefix. The caller truncates the file there (repairing the torn tail

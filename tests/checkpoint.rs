@@ -1,7 +1,7 @@
 //! Frame-boundary checkpoint/restart: a resumed replay must be
 //! bit-identical to an uninterrupted one.
 
-use gwc::api::{CommandSink, Device, Trace};
+use gwc::api::{Device, Trace};
 use gwc::pipeline::{CheckpointError, Gpu, GpuConfig};
 use gwc::workloads::{GameProfile, Timedemo, TimedemoConfig};
 
@@ -9,13 +9,8 @@ fn record(name: &str, frames: u32) -> Trace {
     let profile = GameProfile::by_name(name).unwrap();
     let mut demo = Timedemo::new(profile, TimedemoConfig { frames, seed: 0x5EED });
     let mut device = Device::new();
-    struct Rec<'a>(&'a mut Device);
-    impl CommandSink for Rec<'_> {
-        fn consume(&mut self, c: &gwc::api::Command) {
-            self.0.submit(c.clone()).unwrap();
-        }
-    }
-    demo.emit_all(&mut Rec(&mut device));
+    demo.emit_all(&mut device);
+    assert_eq!(device.first_error(), None, "{name} emitted an invalid stream");
     device.into_trace()
 }
 

@@ -1,7 +1,7 @@
 //! Workspace-level integration: the full methodology from workload
 //! generation through simulation to table/figure rendering.
 
-use gwc::api::{ApiStats, CommandSink, Device, Tee};
+use gwc::api::{ApiStats, Device, Tee};
 use gwc::core::{characterize, run_study, tables, RunConfig};
 use gwc::pipeline::{Gpu, GpuConfig};
 use gwc::workloads::{GameProfile, Timedemo, TimedemoConfig};
@@ -29,26 +29,18 @@ fn trace_record_then_replay_matches_live_stats() {
     let profile = GameProfile::by_name("Riddick/PrisonArea").unwrap();
     let mut demo = Timedemo::new(profile, TimedemoConfig { frames: 4, seed: 9 });
 
-    struct Recorder {
-        device: Device,
-        live: ApiStats,
-    }
-    impl CommandSink for Recorder {
-        fn consume(&mut self, command: &gwc::api::Command) {
-            self.live.consume(command);
-            self.device.submit(command.clone()).expect("generator emits valid streams");
-        }
-    }
-    let mut rec = Recorder { device: Device::new(), live: ApiStats::new() };
-    demo.emit_all(&mut rec);
+    let mut live = ApiStats::new();
+    let mut device = Device::new();
+    demo.emit_all(&mut Tee { a: &mut live, b: &mut device });
+    assert_eq!(device.first_error(), None, "generator emits valid streams");
 
-    let trace = rec.device.into_trace();
+    let trace = device.into_trace();
     let mut replayed = ApiStats::new();
     trace.replay(&mut replayed);
-    assert_eq!(rec.live.totals().batches, replayed.totals().batches);
-    assert_eq!(rec.live.totals().indices, replayed.totals().indices);
-    assert_eq!(rec.live.totals().state_calls, replayed.totals().state_calls);
-    assert_eq!(rec.live.frames(), replayed.frames());
+    assert_eq!(live.totals().batches, replayed.totals().batches);
+    assert_eq!(live.totals().indices, replayed.totals().indices);
+    assert_eq!(live.totals().state_calls, replayed.totals().state_calls);
+    assert_eq!(live.frames(), replayed.frames());
 }
 
 #[test]
@@ -140,13 +132,8 @@ fn trace_file_roundtrip_replays_identically() {
     let profile = GameProfile::by_name("Splinter Cell 3/first level").unwrap();
     let mut demo = Timedemo::new(profile, TimedemoConfig { frames: 2, seed: 5 });
     let mut device = Device::new();
-    struct Rec<'a>(&'a mut Device);
-    impl CommandSink for Rec<'_> {
-        fn consume(&mut self, c: &gwc::api::Command) {
-            self.0.submit(c.clone()).unwrap();
-        }
-    }
-    demo.emit_all(&mut Rec(&mut device));
+    demo.emit_all(&mut device);
+    assert_eq!(device.first_error(), None);
     let trace = device.into_trace();
 
     let path = std::env::temp_dir().join("gwc_e2e_trace.bin");

@@ -5,8 +5,8 @@
 //! *seeded* pipeline, so the metrics below are deterministic: any drift
 //! means a behavioural change in the simulator, not noise. The pinned
 //! values were measured at the suite's own test-sized configuration (the
-//! full-resolution run lives in `EXPERIMENTS.md` / `repro_paper.txt`); the
-//! cross-demo *shape* they encode is the paper's — Doom3-engine games burn
+//! full-resolution numbers are in `EXPERIMENTS.md`, from `repro all
+//! --paper`); the cross-demo *shape* they encode is the paper's — Doom3-engine games burn
 //! quads on color-masked stencil work and ~24× raster overdraw collapses
 //! to ~4.4 after HZ/Z, while UT2004-style content blends instead.
 //!

@@ -13,7 +13,7 @@
 //! [`SimError`]: gwc::pipeline::SimError
 //! [`FaultPolicy`]: gwc::pipeline::FaultPolicy
 
-use gwc::api::{CommandSink, Device, FaultInjector, Trace};
+use gwc::api::{Device, FaultInjector, Trace};
 use gwc::pipeline::{FaultPolicy, Gpu, GpuConfig};
 use gwc::workloads::{GameProfile, Timedemo, TimedemoConfig};
 
@@ -26,13 +26,8 @@ const CMD_RATE_PPM: u32 = 10_000;
 fn record(profile: &'static GameProfile) -> Trace {
     let mut demo = Timedemo::new(profile, TimedemoConfig { frames: FRAMES, seed: 0x5EED });
     let mut device = Device::new();
-    struct Rec<'a>(&'a mut Device);
-    impl CommandSink for Rec<'_> {
-        fn consume(&mut self, c: &gwc::api::Command) {
-            self.0.submit(c.clone()).unwrap();
-        }
-    }
-    demo.emit_all(&mut Rec(&mut device));
+    demo.emit_all(&mut device);
+    assert_eq!(device.first_error(), None, "{} emitted an invalid stream", profile.name);
     device.into_trace()
 }
 

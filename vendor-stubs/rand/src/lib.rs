@@ -73,7 +73,7 @@ pub mod rngs {
 
     /// The workspace's standard RNG: SplitMix64 (upstream uses ChaCha12;
     /// only seeded determinism matters here).
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct StdRng {
         state: u64,
     }
