@@ -110,22 +110,6 @@ impl Device {
         Ok(())
     }
 
-    /// Submits a command and forwards it to a live sink.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Device::submit`].
-    pub fn submit_to<S: CommandSink>(
-        &mut self,
-        command: Command,
-        sink: &mut S,
-    ) -> Result<(), DeviceError> {
-        self.validate(&command)?;
-        sink.consume(&command);
-        self.trace.push(command);
-        Ok(())
-    }
-
     fn validate(&mut self, command: &Command) -> Result<(), DeviceError> {
         match command {
             Command::CreateVertexBuffer { id, layout, data } => {
@@ -351,20 +335,5 @@ mod tests {
         d.consume(&Command::EndFrame);
         assert_eq!(d.first_error(), Some(&DeviceError::UnknownId("index buffer", 9)));
         assert_eq!(d.trace().commands(), &[vb(0, 3), Command::EndFrame]);
-    }
-
-    #[test]
-    fn live_sink_receives_commands() {
-        struct Counter(u32);
-        impl CommandSink for Counter {
-            fn consume(&mut self, _c: &Command) {
-                self.0 += 1;
-            }
-        }
-        let mut d = Device::new();
-        let mut sink = Counter(0);
-        d.submit_to(vb(0, 3), &mut sink).unwrap();
-        d.submit_to(Command::EndFrame, &mut sink).unwrap();
-        assert_eq!(sink.0, 2);
     }
 }

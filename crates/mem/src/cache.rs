@@ -1,5 +1,8 @@
 //! Set-associative write-back cache model.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// Whether an access reads or writes the cached line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -111,6 +114,57 @@ pub struct LineState {
 
 const EMPTY_LINE: Line = Line { tag: 0, valid: false, dirty: false, stamp: 0 };
 
+/// Hashes a line tag with one folded 64×64→128-bit multiply.
+///
+/// The per-set index replaces the default SipHash with this: texture L0
+/// alone sees tens of millions of probes per frame, and SipHash was most
+/// of their cost. Its flooding resistance buys nothing here — a set's map
+/// holds at most `ways` tags (64 for every Table XIV cache), so tags
+/// crafted to collide cost at most that many probes.
+#[derive(Debug, Clone, Copy, Default)]
+struct TagHasher(u64);
+
+impl Hasher for TagHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, tag: u64) {
+        let p = ((self.0 ^ tag) as u128).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = (p as u64) ^ (p >> 64) as u64;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One set's tag → way index.
+type SetIndex = HashMap<u64, usize, BuildHasherDefault<TagHasher>>;
+
+/// [`Cache::restore`] refused a snapshot: two valid ways of one set hold
+/// the same tag. No access sequence produces that state, and the per-set
+/// index can map a tag to only one way, so such a cache would miscount.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DuplicateTag {
+    /// The set holding the tag twice.
+    pub set: usize,
+    /// The duplicated tag.
+    pub tag: u64,
+}
+
+impl std::fmt::Display for DuplicateTag {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "cache set {} holds tag {:#x} in two valid ways", self.set, self.tag)
+    }
+}
+
+impl std::error::Error for DuplicateTag {}
+
 /// A set-associative, write-allocate, write-back cache with LRU replacement.
 ///
 /// The cache models tags only — data payloads live elsewhere in the
@@ -133,8 +187,14 @@ pub struct Cache {
     stats: CacheStats,
     /// Per-set tag → way index, so highly-associative caches (the 64-way
     /// framebuffer caches see hundreds of millions of accesses per run)
-    /// resolve hits in O(1) instead of scanning every way.
-    index: Vec<std::collections::HashMap<u64, usize>>,
+    /// resolve hits in O(1) instead of scanning every way. Valid tags are
+    /// unique within a set: accesses keep it so, and `restore` checks it.
+    index: Vec<SetIndex>,
+    /// `log2(line_size)`.
+    line_shift: u32,
+    /// `log2(sets)` when `sets` is a power of two (every Table XIV cache),
+    /// so the set and tag split is a mask and a shift.
+    set_shift: Option<u32>,
 }
 
 impl Cache {
@@ -151,8 +211,32 @@ impl Cache {
             lines: vec![EMPTY_LINE; config.ways * config.sets],
             clock: 0,
             stats: CacheStats::default(),
-            index: vec![std::collections::HashMap::new(); config.sets],
+            index: vec![SetIndex::default(); config.sets],
+            line_shift: config.line_size.trailing_zeros(),
+            set_shift: config.sets.is_power_of_two().then(|| config.sets.trailing_zeros()),
         }
+    }
+
+    /// Splits a byte address into its (set, tag).
+    #[inline]
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line_addr = addr >> self.line_shift;
+        match self.set_shift {
+            Some(bits) => ((line_addr & ((1 << bits) - 1)) as usize, line_addr >> bits),
+            None => {
+                let sets = self.config.sets as u64;
+                ((line_addr % sets) as usize, line_addr / sets)
+            }
+        }
+    }
+
+    /// The byte address of the line holding `tag` in `set`.
+    fn line_address(&self, set: usize, tag: u64) -> u64 {
+        let line_addr = match self.set_shift {
+            Some(bits) => (tag << bits) | set as u64,
+            None => tag * self.config.sets as u64 + set as u64,
+        };
+        line_addr << self.line_shift
     }
 
     /// The cache geometry.
@@ -184,9 +268,7 @@ impl Cache {
     pub fn access_detailed(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
         self.clock += 1;
         self.stats.accesses += 1;
-        let line_addr = addr / self.config.line_size;
-        let set = (line_addr % self.config.sets as u64) as usize;
-        let tag = line_addr / self.config.sets as u64;
+        let (set, tag) = self.locate(addr);
         let base = set * self.config.ways;
 
         if let Some(&way) = self.index[set].get(&tag) {
@@ -207,17 +289,16 @@ impl Cache {
             .enumerate()
             .min_by_key(|(_, l)| if l.valid { l.stamp } else { 0 })
             .expect("ways > 0");
+        let old = *victim;
+        *victim = Line { tag, valid: true, dirty: kind == AccessKind::Write, stamp: self.clock };
         let mut evicted = None;
-        if victim.valid {
-            self.index[set].remove(&victim.tag);
-            if victim.dirty {
+        if old.valid {
+            self.index[set].remove(&old.tag);
+            if old.dirty {
                 self.stats.writebacks += 1;
-                let line_addr = (victim.tag * self.config.sets as u64 + set as u64)
-                    * self.config.line_size;
-                evicted = Some(line_addr);
+                evicted = Some(self.line_address(set, old.tag));
             }
         }
-        *victim = Line { tag, valid: true, dirty: kind == AccessKind::Write, stamp: self.clock };
         self.index[set].insert(tag, victim_way);
         self.stats.fills += 1;
         AccessOutcome { hit: false, evicted_dirty_line: evicted }
@@ -233,16 +314,13 @@ impl Cache {
     /// dirty lines written back, so the caller can size each writeback.
     pub fn flush_collect(&mut self) -> Vec<u64> {
         let mut dirty = Vec::new();
-        let sets = self.config.sets as u64;
-        let line_size = self.config.line_size;
-        for (i, line) in self.lines.iter_mut().enumerate() {
+        for (i, line) in self.lines.iter().enumerate() {
             if line.valid && line.dirty {
-                self.stats.writebacks += 1;
-                let set = (i / self.config.ways) as u64;
-                dirty.push((line.tag * sets + set) * line_size);
+                dirty.push(self.line_address(i / self.config.ways, line.tag));
             }
-            *line = EMPTY_LINE;
         }
+        self.stats.writebacks += dirty.len() as u64;
+        self.lines.fill(EMPTY_LINE);
         for map in &mut self.index {
             map.clear();
         }
@@ -252,9 +330,7 @@ impl Cache {
     /// Invalidates all lines *without* writing back (used after a fast
     /// clear, which rewrites the surface wholesale).
     pub fn invalidate(&mut self) {
-        for line in &mut self.lines {
-            *line = EMPTY_LINE;
-        }
+        self.lines.fill(EMPTY_LINE);
         for map in &mut self.index {
             map.clear();
         }
@@ -272,12 +348,22 @@ impl Cache {
     }
 
     /// Rebuilds a cache from a [`Cache::snapshot`]; the restored cache
-    /// behaves identically to the original from this point on.
+    /// equals the original and behaves identically from this point on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DuplicateTag`] when two valid lines of one set hold the
+    /// same tag, a state no access sequence produces.
     ///
     /// # Panics
     ///
     /// Panics if `lines` does not match the geometry (`ways * sets`).
-    pub fn restore(config: CacheConfig, lines: &[LineState], clock: u64, stats: CacheStats) -> Self {
+    pub fn restore(
+        config: CacheConfig,
+        lines: &[LineState],
+        clock: u64,
+        stats: CacheStats,
+    ) -> Result<Self, DuplicateTag> {
         assert_eq!(lines.len(), config.ways * config.sets, "line count mismatch");
         let mut c = Cache::new(config);
         c.clock = clock;
@@ -286,11 +372,12 @@ impl Cache {
             c.lines[i] = Line { tag: l.tag, valid: l.valid, dirty: l.dirty, stamp: l.stamp };
             if l.valid {
                 let set = i / config.ways;
-                let way = i % config.ways;
-                c.index[set].insert(l.tag, way);
+                if c.index[set].insert(l.tag, i % config.ways).is_some() {
+                    return Err(DuplicateTag { set, tag: l.tag });
+                }
             }
         }
-        c
+        Ok(c)
     }
 }
 
@@ -410,6 +497,21 @@ mod tests {
         dirty.sort_unstable();
         assert_eq!(dirty, vec![0, 192]);
         assert_eq!(c.stats().writebacks, 2);
+    }
+
+    #[test]
+    fn restore_rejects_a_tag_held_twice() {
+        let config = CacheConfig { ways: 2, sets: 2, line_size: 64 };
+        let line = |tag, valid, dirty| LineState { tag, valid, dirty, stamp: 1 };
+        let restore = |lines: &[LineState]| Cache::restore(config, lines, 1, CacheStats::default());
+        let empty = line(0, false, false);
+        let twice = [empty, empty, line(5, true, true), line(5, true, false)];
+        assert_eq!(restore(&twice).unwrap_err(), DuplicateTag { set: 1, tag: 5 });
+        // One tag in two sets, or beside an invalid way holding it, is fine.
+        let fine = [line(5, true, false), line(5, false, false), line(5, true, true), line(7, true, false)];
+        let mut c = restore(&fine).unwrap();
+        assert!(c.access(5 * 128, AccessKind::Read));
+        assert!(c.access(5 * 128 + 64, AccessKind::Read));
     }
 
     #[test]

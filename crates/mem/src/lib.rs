@@ -25,5 +25,5 @@ pub mod compress;
 mod controller;
 
 pub use address::{tiled_offset, AddressSpace};
-pub use cache::{AccessKind, AccessOutcome, Cache, CacheConfig, CacheStats, LineState};
+pub use cache::{AccessKind, AccessOutcome, Cache, CacheConfig, CacheStats, DuplicateTag, LineState};
 pub use controller::{ClientTraffic, FrameTraffic, MemClient, MemoryController};

@@ -1,8 +1,82 @@
 //! Property tests for the memory subsystem.
 
 use gwc_mem::compress::{classify_color_block, classify_z_block, BlockState};
-use gwc_mem::{AccessKind, Cache, CacheConfig, MemClient, MemoryController};
+use gwc_mem::{AccessKind, Cache, CacheConfig, CacheStats, LineState, MemClient, MemoryController};
 use proptest::prelude::*;
+
+/// A deliberately naive LRU cache: a `Vec` of lines, a linear tag scan per
+/// access, and as victim the first way with the smallest stamp (invalid
+/// ways count as 0). [`Cache`] must agree with it access for access.
+struct NaiveCache {
+    config: CacheConfig,
+    lines: Vec<LineState>,
+    clock: u64,
+    stats: CacheStats,
+}
+
+impl NaiveCache {
+    fn new(config: CacheConfig) -> Self {
+        NaiveCache {
+            config,
+            lines: vec![LineState::default(); config.ways * config.sets],
+            clock: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Returns the hit flag and the evicted dirty line's byte address.
+    fn access(&mut self, addr: u64, kind: AccessKind) -> (bool, Option<u64>) {
+        let (ways, sets) = (self.config.ways, self.config.sets as u64);
+        self.clock += 1;
+        self.stats.accesses += 1;
+        let line_addr = addr / self.config.line_size;
+        let set = (line_addr % sets) as usize;
+        let tag = line_addr / sets;
+        let lines = &mut self.lines[set * ways..(set + 1) * ways];
+        for line in lines.iter_mut() {
+            if line.valid && line.tag == tag {
+                line.stamp = self.clock;
+                line.dirty |= kind == AccessKind::Write;
+                self.stats.hits += 1;
+                return (true, None);
+            }
+        }
+        let age = |l: &LineState| if l.valid { l.stamp } else { 0 };
+        let mut victim = 0;
+        for way in 1..ways {
+            if age(&lines[way]) < age(&lines[victim]) {
+                victim = way;
+            }
+        }
+        let old = lines[victim];
+        let mut evicted = None;
+        if old.valid && old.dirty {
+            self.stats.writebacks += 1;
+            evicted = Some((old.tag * sets + set as u64) * self.config.line_size);
+        }
+        lines[victim] =
+            LineState { tag, valid: true, dirty: kind == AccessKind::Write, stamp: self.clock };
+        self.stats.fills += 1;
+        (false, evicted)
+    }
+
+    fn flush_collect(&mut self) -> Vec<u64> {
+        let (ways, sets) = (self.config.ways, self.config.sets as u64);
+        let mut dirty = Vec::new();
+        for (i, line) in self.lines.iter_mut().enumerate() {
+            if line.valid && line.dirty {
+                self.stats.writebacks += 1;
+                dirty.push((line.tag * sets + (i / ways) as u64) * self.config.line_size);
+            }
+            *line = LineState::default();
+        }
+        dirty
+    }
+
+    fn invalidate(&mut self) {
+        self.lines.fill(LineState::default());
+    }
+}
 
 proptest! {
     /// A cache never reports more hits than accesses, and fills equal misses.
@@ -19,6 +93,50 @@ proptest! {
         prop_assert!(s.hits <= s.accesses);
         prop_assert_eq!(s.fills, s.misses());
         prop_assert!(s.writebacks <= s.fills);
+    }
+
+    /// `Cache` agrees with the naive LRU model on every access (hit flag and
+    /// evicted dirty line) and in its final statistics and snapshot, across
+    /// set counts that are and are not powers of two, with flushes,
+    /// invalidations and a snapshot → restore in the middle.
+    #[test]
+    fn cache_matches_naive_lru(
+        ways in 1usize..65,
+        sets in 1usize..18,
+        line_shift in 4u32..9,
+        ops in prop::collection::vec((0u32..100, any::<u64>()), 1..600),
+    ) {
+        let config = CacheConfig { ways, sets, line_size: 1 << line_shift };
+        let mut cache = Cache::new(config);
+        let mut model = NaiveCache::new(config);
+        // Most addresses fall in twice the capacity, so sets fill, hit and
+        // evict; one in eight spans the whole address space.
+        let span = 2 * config.capacity();
+        for (i, &(op, raw)) in ops.iter().enumerate() {
+            if i == ops.len() / 2 {
+                let (lines, clock, stats) = cache.snapshot();
+                let restored = Cache::restore(config, &lines, clock, stats).unwrap();
+                prop_assert!(restored == cache, "restore differs from the original");
+                cache = restored;
+            }
+            let addr = if raw % 8 == 0 { raw } else { raw % span };
+            match op {
+                0..=89 => {
+                    let kind = if op < 45 { AccessKind::Read } else { AccessKind::Write };
+                    let got = cache.access_detailed(addr, kind);
+                    let (hit, evicted) = model.access(addr, kind);
+                    prop_assert_eq!(got.hit, hit, "access {} ({:?} {:#x})", i, kind, addr);
+                    prop_assert_eq!(got.evicted_dirty_line, evicted, "access {}", i);
+                }
+                90..=94 => prop_assert_eq!(cache.flush_collect(), model.flush_collect()),
+                _ => {
+                    cache.invalidate();
+                    model.invalidate();
+                }
+            }
+        }
+        prop_assert_eq!(*cache.stats(), model.stats);
+        prop_assert_eq!(cache.snapshot(), (model.lines.clone(), model.clock, model.stats));
     }
 
     /// Repeating the same address after a warm-up access always hits.

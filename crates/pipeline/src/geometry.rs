@@ -191,7 +191,9 @@ fn plan(req: &GeomRequest<'_>) -> Plan {
 /// Runs `jobs` through `f`, returning results in job order. With more
 /// than one worker, jobs are dealt round-robin (worker `w` owns jobs
 /// `w, w+W, …`) under a `std::thread::scope` — purely a scheduling
-/// choice, invisible in the results.
+/// choice, invisible in the results. Worker 0 is the calling thread, so
+/// `W` workers cost `W − 1` spawns. A panic resurfaces here with the
+/// lowest panicking worker's payload, after every worker has finished.
 pub(crate) fn run_chunks<J: Send, R: Send>(
     jobs: Vec<J>,
     workers: usize,
@@ -205,23 +207,22 @@ pub(crate) fn run_chunks<J: Send, R: Send>(
     for (i, job) in jobs.into_iter().enumerate() {
         buckets[i % workers].push((i, job));
     }
+    let run = |bucket: Vec<(usize, J)>| {
+        bucket.into_iter().map(|(i, j)| (i, f(i, j))).collect::<Vec<_>>()
+    };
+    let own = std::mem::take(&mut buckets[0]);
     let mut out: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                scope.spawn(move || {
-                    bucket.into_iter().map(|(i, j)| (i, f(i, j))).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(results) => results,
+        let run = &run;
+        let handles: Vec<_> =
+            buckets.into_iter().skip(1).map(|bucket| scope.spawn(move || run(bucket))).collect();
+        let mut out = run(own);
+        for h in handles {
+            match h.join() {
+                Ok(results) => out.extend(results),
                 Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
+            }
+        }
+        out
     });
     out.sort_by_key(|(i, _)| *i);
     out.into_iter().map(|(_, r)| r).collect()
@@ -617,6 +618,23 @@ mod tests {
         assert_eq!(p.fetches, ref_misses);
         assert_eq!(p.tri_slots.len(), tri_count);
         assert!(p.oor.is_none());
+    }
+
+    /// A panic in any worker, the calling thread's included, reaches the
+    /// caller with its own payload.
+    #[test]
+    fn run_chunks_propagates_panics() {
+        for bad in [0usize, 1, 5] {
+            let caught = std::panic::catch_unwind(|| {
+                run_chunks((0..6).collect(), 3, |i, _: usize| {
+                    if i == bad {
+                        std::panic::panic_any(i);
+                    }
+                    i
+                })
+            });
+            assert_eq!(caught.unwrap_err().downcast_ref::<usize>(), Some(&bad));
+        }
     }
 
     /// Chunk results come back in job order no matter the worker count.

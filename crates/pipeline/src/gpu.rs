@@ -1132,7 +1132,8 @@ fn read_cache(d: &mut Dec<'_>, config: CacheConfig) -> Result<Cache, CheckpointE
         fills: d.u64()?,
         writebacks: d.u64()?,
     };
-    Ok(Cache::restore(config, &lines, clock, stats))
+    Cache::restore(config, &lines, clock, stats)
+        .map_err(|_| CheckpointError::Corrupt("cache set holds one tag in two valid ways"))
 }
 
 fn read_opt_u32(d: &mut Dec<'_>) -> Result<Option<u32>, CheckpointError> {

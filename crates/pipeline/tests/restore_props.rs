@@ -94,3 +94,57 @@ fn the_unmutated_blob_restores_bit_identically() {
     let gpu = restore(&blob).expect("the genuine checkpoint restores");
     assert_eq!(gpu.save_checkpoint(), blob, "restore must round-trip");
 }
+
+/// Rebuilds `blob` with `edit` applied to the payload of section `tag`
+/// and that section's CRC recomputed, as a writer that framed bad state
+/// would have produced it.
+fn reframe(blob: &[u8], tag: [u8; 4], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = blob[..6].to_vec();
+    let mut edit = Some(edit);
+    let mut pos = 6;
+    while pos < blob.len() {
+        let len = u64::from_le_bytes(blob[pos + 4..pos + 12].try_into().unwrap()) as usize;
+        let mut payload = blob[pos + 16..pos + 16 + len].to_vec();
+        if blob[pos..pos + 4] == tag {
+            (edit.take().expect("section appears once"))(&mut payload);
+        }
+        out.extend_from_slice(&blob[pos..pos + 4]);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&gwc_telemetry::export::crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        pos += 16 + len;
+    }
+    assert!(edit.is_none(), "section {tag:?} not found");
+    out
+}
+
+/// A well-framed checkpoint whose first Z-cache set holds one tag in two
+/// valid ways is refused as corrupt: the cache's tag index can map a tag
+/// to only one way, so such a cache would report a resident line as a
+/// miss after the other copy is evicted.
+#[test]
+fn a_cache_tag_held_twice_is_rejected() {
+    let blob = reference_blob();
+    // FRAM: color, depth and stencil planes, HZ max-z and dirty flags, the
+    // HZ counters, two compression directories and the stripe count; then
+    // stripe 0's Z cache: its line count and `(tag u64, flags u8, stamp
+    // u64)` per line.
+    let (px, blocks) = ((W * H) as usize, (W.div_ceil(8) * H.div_ceil(8)) as usize);
+    let first_line = 4 * px + 4 * px + px + 4 * blocks + blocks + 16 + 2 * blocks + 4 + 4;
+    let with_tags = |a: u64, b: u64| {
+        reframe(&blob, *b"FRAM", |fram| {
+            for (way, (tag, flags)) in [(a, 0b11u8), (b, 0b01)].into_iter().enumerate() {
+                let at = first_line + 17 * way;
+                fram[at..at + 8].copy_from_slice(&tag.to_le_bytes());
+                fram[at + 8] = flags;
+                fram[at + 9..at + 17].copy_from_slice(&(way as u64 + 1).to_le_bytes());
+            }
+        })
+    };
+    assert!(restore(&with_tags(5, 7)).is_ok(), "two distinct tags restore");
+    match restore(&with_tags(5, 5)) {
+        Err(gwc_pipeline::CheckpointError::Corrupt(what)) => assert!(what.contains("tag"), "{what}"),
+        Err(other) => panic!("expected a corrupt-checkpoint error, got {other}"),
+        Ok(_) => panic!("a cache set holding one tag twice restored"),
+    }
+}

@@ -273,13 +273,16 @@ impl Lanes {
         }
     }
 
+    /// Reads a source operand, swizzling through `[f32; 4]`: a swizzle
+    /// component above 3 panics on the array index.
     fn read(&self, lane: usize, src: Src, constants: &[Vec4]) -> Vec4 {
-        let raw = match src.reg.file {
+        let raw: [f32; 4] = match src.reg.file {
             RegFile::Input => self.inputs[lane][src.reg.index as usize],
             RegFile::Temp => self.temps[lane][src.reg.index as usize],
             RegFile::Constant => constants[src.reg.index as usize],
             RegFile::Output => Vec4::ZERO, // rejected by validation
-        };
+        }
+        .into();
         let s = src.swizzle.0;
         let sw = Vec4::new(raw[s[0] as usize], raw[s[1] as usize], raw[s[2] as usize], raw[s[3] as usize]);
         if src.negate {
@@ -296,19 +299,27 @@ impl Lanes {
             RegFile::Output => &mut self.outputs[lane][instr.dst.index as usize],
             _ => return, // rejected by validation
         };
+        let mut merged: [f32; 4] = (*dst).into();
+        let value: [f32; 4] = value.into();
         for c in 0..4 {
             if mask[c] {
-                dst[c] = value[c];
+                merged[c] = value[c];
             }
         }
+        *dst = merged.into();
     }
 
-    /// Executes a non-texture, non-kill instruction on all four lanes.
+    /// Executes a non-texture, non-kill instruction on all four lanes,
+    /// reading only the sources the opcode consumes (validation checks no
+    /// others; unread ones stay zero).
     fn execute_alu(&mut self, instr: &Instr, constants: &[Vec4]) {
+        let srcs = &instr.srcs[..instr.op.arity()];
         for lane in 0..4 {
-            let a = self.read(lane, instr.srcs[0], constants);
-            let b = self.read(lane, instr.srcs[1], constants);
-            let c = self.read(lane, instr.srcs[2], constants);
+            let mut operands = [Vec4::ZERO; 3];
+            for (operand, &src) in operands.iter_mut().zip(srcs) {
+                *operand = self.read(lane, src, constants);
+            }
+            let [a, b, c] = operands;
             let result = match instr.op {
                 Opcode::Mov => a,
                 Opcode::Add => a + b,
@@ -425,6 +436,25 @@ mod tests {
         let mut m = machine();
         let out = m.run_vertex(&p, &[Vec4::new(1.0, 2.0, 3.0, 4.0)]);
         assert_eq!(out[0], Vec4::new(-4.0, -3.0, -2.0, -1.0));
+    }
+
+    #[test]
+    fn unused_sources_are_not_read() {
+        // Validation checks only the sources an opcode consumes, so a MOV
+        // may carry any garbage in its other two slots.
+        let mut mov = Instr::mov(Reg::out(0), Src::input(0));
+        mov.srcs[1] = Src::temp(200).swiz(Swizzle([9; 4]));
+        mov.srcs[2] = Src::constant(u8::MAX);
+        let p = vp(vec![mov]);
+        let out = machine().run_vertex(&p, &[Vec4::new(1.0, 2.0, 3.0, 4.0)]);
+        assert_eq!(out[0], Vec4::new(1.0, 2.0, 3.0, 4.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn swizzle_component_above_three_panics() {
+        let lanes = Lanes::new(&[&[], &[], &[], &[]]);
+        lanes.read(0, Src::temp(0).swiz(Swizzle([0, 1, 2, 4])), &[]);
     }
 
     #[test]

@@ -23,7 +23,8 @@ impl WrapMode {
     fn apply(self, i: i64, size: u32) -> u32 {
         let n = size as i64;
         match self {
-            WrapMode::Repeat => (i.rem_euclid(n)) as u32,
+            WrapMode::Repeat if size.is_power_of_two() => (i & (n - 1)) as u32,
+            WrapMode::Repeat => i.rem_euclid(n) as u32,
             WrapMode::Clamp => i.clamp(0, n - 1) as u32,
             WrapMode::Mirror => {
                 let period = 2 * n;
@@ -237,8 +238,9 @@ impl SamplerState {
         let (w, h) = texture.level_dims(level);
         let x = self.wrap.apply((uv.x * w as f32).floor() as i64, w);
         let y = self.wrap.apply((uv.y * h as f32).floor() as i64, h);
-        tracker.fetch(texture.texel_address(level, x, y));
-        texture.texel(level, x, y)
+        let (address, color) = texture.fetch(level, x, y);
+        tracker.fetch(address);
+        color
     }
 
     fn sample_bilinear<T: TexelTracker>(
@@ -255,15 +257,16 @@ impl SamplerState {
         let y0 = fy.floor();
         let tx = fx - x0;
         let ty = fy - y0;
-        let xi = [x0 as i64, x0 as i64 + 1];
-        let yi = [y0 as i64, y0 as i64 + 1];
+        // Each axis wraps once for the whole 2×2 footprint; the texels are
+        // then fetched and weighted in row order.
+        let xs = [self.wrap.apply(x0 as i64, w), self.wrap.apply(x0 as i64 + 1, w)];
+        let ys = [self.wrap.apply(y0 as i64, h), self.wrap.apply(y0 as i64 + 1, h)];
         let mut acc = Vec4::ZERO;
-        for (wy, &yy) in [1.0 - ty, ty].iter().zip(yi.iter()) {
-            for (wx, &xx) in [1.0 - tx, tx].iter().zip(xi.iter()) {
-                let x = self.wrap.apply(xx, w);
-                let y = self.wrap.apply(yy, h);
-                tracker.fetch(texture.texel_address(level, x, y));
-                acc += texture.texel(level, x, y) * (wx * wy);
+        for (wy, y) in [1.0 - ty, ty].into_iter().zip(ys) {
+            for (wx, x) in [1.0 - tx, tx].into_iter().zip(xs) {
+                let (address, color) = texture.fetch(level, x, y);
+                tracker.fetch(address);
+                acc += color * (wx * wy);
             }
         }
         acc

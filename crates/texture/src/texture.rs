@@ -1,5 +1,6 @@
 //! GPU-resident textures with mip chains and dual addressing.
 
+use gwc_math::Vec4;
 use gwc_mem::AddressSpace;
 
 use crate::{dxt, Image, TexFormat};
@@ -25,6 +26,10 @@ struct MipLevel {
     base_uncompressed: u64,
     base_compressed: u64,
     compressed_bytes: u64,
+    /// Uncompressed-space tiles per row.
+    tiles_per_row: u64,
+    /// Compression blocks per row.
+    blocks_per_row: u64,
 }
 
 /// A GPU texture: a format, a mip chain, and addresses in the simulated
@@ -37,15 +42,31 @@ struct MipLevel {
 pub struct Texture {
     format: TexFormat,
     levels: Vec<MipLevel>,
+    /// `log2(format.block_dim())`: texel to block coordinates is a shift.
+    block_shift: u32,
 }
 
 /// Texels per side of an uncompressed-space tile. A 4×4 tile of RGBA8 is
 /// exactly one 64-byte L0 line.
 const TILE: u32 = 4;
 
-fn tile_offset(x: u32, y: u32, width: u32) -> u64 {
-    let tiles_per_row = width.div_ceil(TILE);
-    let block = (y / TILE) as u64 * tiles_per_row as u64 + (x / TILE) as u64;
+/// `i / 255` for every 8-bit channel value, as `f32`.
+static UNORM8: [f32; 256] = {
+    let mut table = [0.0; 256];
+    let mut i = 0;
+    while i < 256 {
+        table[i] = i as f32 / 255.0;
+        i += 1;
+    }
+    table
+};
+
+fn unorm(t: [u8; 4]) -> Vec4 {
+    Vec4::new(UNORM8[t[0] as usize], UNORM8[t[1] as usize], UNORM8[t[2] as usize], UNORM8[t[3] as usize])
+}
+
+fn tile_offset(x: u32, y: u32, tiles_per_row: u64) -> u64 {
+    let block = (y / TILE) as u64 * tiles_per_row + (x / TILE) as u64;
     let within = ((y % TILE) * TILE + (x % TILE)) as u64;
     block * (TILE * TILE) as u64 + within
 }
@@ -71,13 +92,20 @@ impl Texture {
                 * (TILE * TILE) as u64;
             let base_compressed = vram.alloc(compressed_bytes, 256);
             let base_uncompressed = vram.alloc(uncompressed_bytes, 256);
-            levels.push(MipLevel { image: stored, base_uncompressed, base_compressed, compressed_bytes });
+            levels.push(MipLevel {
+                image: stored,
+                base_uncompressed,
+                base_compressed,
+                compressed_bytes,
+                tiles_per_row: current.width().div_ceil(TILE) as u64,
+                blocks_per_row: current.width().div_ceil(format.block_dim()) as u64,
+            });
             if !gen_mips || (current.width() == 1 && current.height() == 1) {
                 break;
             }
             current = current.downsample();
         }
-        Texture { format, levels }
+        Texture { format, levels, block_shift: format.block_dim().trailing_zeros() }
     }
 
     /// Total VRAM [`from_image`](Texture::from_image) would allocate for
@@ -144,14 +172,8 @@ impl Texture {
     ///
     /// Panics if `level` or the coordinates are out of range.
     #[inline]
-    pub fn texel(&self, level: usize, x: u32, y: u32) -> gwc_math::Vec4 {
-        let t = self.levels[level].image.get(x, y);
-        gwc_math::Vec4::new(
-            t[0] as f32 / 255.0,
-            t[1] as f32 / 255.0,
-            t[2] as f32 / 255.0,
-            t[3] as f32 / 255.0,
-        )
+    pub fn texel(&self, level: usize, x: u32, y: u32) -> Vec4 {
+        unorm(self.levels[level].image.get(x, y))
     }
 
     /// Both addresses of a texel (see [`TexelAddress`]).
@@ -161,13 +183,25 @@ impl Texture {
     /// Panics if `level` or the coordinates are out of range.
     pub fn texel_address(&self, level: usize, x: u32, y: u32) -> TexelAddress {
         let lvl = &self.levels[level];
-        let w = lvl.image.width();
-        let h = lvl.image.height();
+        let (w, h) = (lvl.image.width(), lvl.image.height());
         assert!(x < w && y < h, "texel ({x},{y}) out of range for level {level}");
-        let uncompressed = lvl.base_uncompressed + tile_offset(x, y, w) * 4;
-        let bd = self.format.block_dim();
-        let blocks_per_row = w.div_ceil(bd) as u64;
-        let block = (y / bd) as u64 * blocks_per_row + (x / bd) as u64;
+        self.address_in(lvl, x, y)
+    }
+
+    /// [`Texture::texel_address`] and [`Texture::texel`] of one texel with
+    /// one level lookup: the filter's per-texel step. The coordinates are
+    /// already wrapped into the level.
+    #[inline]
+    pub(crate) fn fetch(&self, level: usize, x: u32, y: u32) -> (TexelAddress, Vec4) {
+        let lvl = &self.levels[level];
+        (self.address_in(lvl, x, y), unorm(lvl.image.get(x, y)))
+    }
+
+    #[inline]
+    fn address_in(&self, lvl: &MipLevel, x: u32, y: u32) -> TexelAddress {
+        let uncompressed = lvl.base_uncompressed + tile_offset(x, y, lvl.tiles_per_row) * 4;
+        let shift = self.block_shift;
+        let block = (y >> shift) as u64 * lvl.blocks_per_row + (x >> shift) as u64;
         let compressed = lvl.base_compressed + block * self.format.block_bytes() as u64;
         TexelAddress { uncompressed, compressed }
     }
