@@ -297,46 +297,47 @@ fn is_experiment_name(s: &str) -> bool {
 }
 
 fn parse_args() -> Options {
-    let mut experiments = Vec::new();
-    let mut config =
-        RunConfig { api_frames: 300, sim_frames: 4, width: 640, height: 480, seed: 0x5EED };
-    let mut rung = Rung::Default;
-    let mut csv = false;
-    let mut game = "Doom3/trdemo2".to_string();
-    let mut trace = false;
-    let mut level = gwc_telemetry::Level::Spans;
-    let mut out = "traces".to_string();
-    let mut checkpoint_every = None;
-    let mut resume_file = None;
-    let mut threads = 0u32;
-    let mut check = Vec::new();
-    let mut dir = "campaign".to_string();
-    let mut campaign_resume = false;
-    let mut fail_fast = false;
-    let mut max_retries = 2u32;
-    let mut deadline_ms = 300_000u64;
-    let mut work_budget = None;
-    let mut breaker = 3u32;
-    let mut backoff_ms = 100u64;
-    let mut chaos = None;
-    let mut stop_after = None;
-    let mut addr = None;
-    let mut data_dir = "serve-data".to_string();
-    let mut workers = 2usize;
-    let mut queue_cap = 16usize;
-    let mut kind = gwc_harness::Experiment::Characterize;
-    let mut wait = false;
-    let mut hash = None;
-    let mut drain_timeout_ms = 600_000u64;
-    let mut wal_rotate_bytes = 256 * 1024u64;
-    let mut torture_sites = Vec::new();
-    let mut torture_all = false;
-    let mut torture_list = false;
-    let mut torture_matrix = false;
-    let mut grid = None;
-    let mut dry_run = false;
-    let mut no_refs = false;
-    let mut format = "both".to_string();
+    let mut o = Options {
+        experiments: Vec::new(),
+        config: RunConfig { api_frames: 300, sim_frames: 4, width: 640, height: 480, seed: 0x5EED },
+        rung: Rung::Default,
+        csv: false,
+        game: "Doom3/trdemo2".to_string(),
+        trace: false,
+        level: gwc_telemetry::Level::Spans,
+        out: "traces".to_string(),
+        checkpoint_every: None,
+        resume_file: None,
+        threads: 0,
+        check: Vec::new(),
+        dir: "campaign".to_string(),
+        campaign_resume: false,
+        fail_fast: false,
+        max_retries: 2,
+        deadline_ms: 300_000,
+        work_budget: None,
+        breaker: 3,
+        backoff_ms: 100,
+        chaos: None,
+        stop_after: None,
+        addr: None,
+        data_dir: "serve-data".to_string(),
+        workers: 2,
+        queue_cap: 16,
+        kind: gwc_harness::Experiment::Characterize,
+        wait: false,
+        hash: None,
+        drain_timeout_ms: 600_000,
+        wal_rotate_bytes: 256 * 1024,
+        torture_sites: Vec::new(),
+        torture_all: false,
+        torture_list: false,
+        torture_matrix: false,
+        grid: None,
+        dry_run: false,
+        no_refs: false,
+        format: "both".to_string(),
+    };
     let mut args = std::env::args().skip(1).peekable();
 
     // A flag's value: present, or a named complaint.
@@ -351,109 +352,109 @@ fn parse_args() -> Options {
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--paper" => rung = Rung::Paper,
-            "--quick" => rung = Rung::Quick,
-            "--csv" => csv = true,
+            "--paper" => o.rung = Rung::Paper,
+            "--quick" => o.rung = Rung::Quick,
+            "--csv" => o.csv = true,
             "--api-frames" => {
-                config.api_frames = parse(&arg, value(&mut args, &arg), "a frame count")
+                o.config.api_frames = parse(&arg, value(&mut args, &arg), "a frame count")
             }
             "--sim-frames" => {
-                config.sim_frames = parse(&arg, value(&mut args, &arg), "a frame count")
+                o.config.sim_frames = parse(&arg, value(&mut args, &arg), "a frame count")
             }
             "--res" => {
                 let v = value(&mut args, &arg);
                 let Some((w, h)) = v.split_once('x') else {
                     bad_arg(format!("invalid value '{v}' for '--res' (expected WxH, e.g. 640x480)"))
                 };
-                config.width = parse(&arg, w.to_string(), "WxH, e.g. 640x480");
-                config.height = parse(&arg, h.to_string(), "WxH, e.g. 640x480");
+                o.config.width = parse(&arg, w.to_string(), "WxH, e.g. 640x480");
+                o.config.height = parse(&arg, h.to_string(), "WxH, e.g. 640x480");
             }
-            "--game" => game = value(&mut args, &arg),
-            "--trace" => trace = true,
+            "--game" => o.game = value(&mut args, &arg),
+            "--trace" => o.trace = true,
             "--level" => {
                 let v = value(&mut args, &arg);
-                level = gwc_telemetry::Level::parse(&v).unwrap_or_else(|| {
+                o.level = gwc_telemetry::Level::parse(&v).unwrap_or_else(|| {
                     bad_arg(format!(
                         "invalid value '{v}' for '--level' (expected off, counters, or spans)"
                     ))
                 });
             }
-            "--out" => out = value(&mut args, &arg),
+            "--out" => o.out = value(&mut args, &arg),
             "--checkpoint-every" => {
                 let n: u32 = parse(&arg, value(&mut args, &arg), "a positive frame interval");
                 if n == 0 {
                     bad_arg("invalid value '0' for '--checkpoint-every' (expected a positive frame interval)".into());
                 }
-                checkpoint_every = Some(n);
+                o.checkpoint_every = Some(n);
             }
             "--resume" => {
                 // `--resume FILE` resumes a replay from a checkpoint;
                 // bare `--resume` resumes a campaign from its manifest.
                 match args.peek() {
                     Some(v) if !v.starts_with('-') && !is_experiment_name(v) => {
-                        resume_file = Some(value(&mut args, &arg));
+                        o.resume_file = Some(value(&mut args, &arg));
                     }
-                    _ => campaign_resume = true,
+                    _ => o.campaign_resume = true,
                 }
             }
             "--threads" => {
-                threads = parse(&arg, value(&mut args, &arg), "a worker thread count")
+                o.threads = parse(&arg, value(&mut args, &arg), "a worker thread count")
             }
-            "--check" => check.push(value(&mut args, &arg)),
-            "--dir" => dir = value(&mut args, &arg),
-            "--fail-fast" => fail_fast = true,
-            "--keep-going" => fail_fast = false,
+            "--check" => o.check.push(value(&mut args, &arg)),
+            "--dir" => o.dir = value(&mut args, &arg),
+            "--fail-fast" => o.fail_fast = true,
+            "--keep-going" => o.fail_fast = false,
             "--max-retries" => {
-                max_retries = parse(&arg, value(&mut args, &arg), "a retry count")
+                o.max_retries = parse(&arg, value(&mut args, &arg), "a retry count")
             }
             "--deadline-ms" => {
                 let n: u64 = parse(&arg, value(&mut args, &arg), "a positive millisecond count");
                 if n == 0 {
                     bad_arg("invalid value '0' for '--deadline-ms' (expected a positive millisecond count)".into());
                 }
-                deadline_ms = n;
+                o.deadline_ms = n;
             }
             "--work-budget" => {
-                work_budget = Some(parse(&arg, value(&mut args, &arg), "a tick count"))
+                o.work_budget = Some(parse(&arg, value(&mut args, &arg), "a tick count"))
             }
             "--breaker" => {
-                breaker = parse(&arg, value(&mut args, &arg), "a failure count")
+                o.breaker = parse(&arg, value(&mut args, &arg), "a failure count")
             }
             "--backoff-ms" => {
-                backoff_ms = parse(&arg, value(&mut args, &arg), "a millisecond count")
+                o.backoff_ms = parse(&arg, value(&mut args, &arg), "a millisecond count")
             }
-            "--chaos" => chaos = Some(parse(&arg, value(&mut args, &arg), "a seed")),
+            "--chaos" => o.chaos = Some(parse(&arg, value(&mut args, &arg), "a seed")),
             "--stop-after" => {
-                stop_after = Some(parse(&arg, value(&mut args, &arg), "a job count"))
+                o.stop_after = Some(parse(&arg, value(&mut args, &arg), "a job count"))
             }
-            "--addr" => addr = Some(value(&mut args, &arg)),
-            "--data-dir" => data_dir = value(&mut args, &arg),
-            "--workers" => workers = parse(&arg, value(&mut args, &arg), "a worker count"),
+            "--addr" => o.addr = Some(value(&mut args, &arg)),
+            "--data-dir" => o.data_dir = value(&mut args, &arg),
+            "--workers" => o.workers = parse(&arg, value(&mut args, &arg), "a worker count"),
             "--queue-cap" => {
-                queue_cap = parse(&arg, value(&mut args, &arg), "a queue depth");
-                if queue_cap == 0 {
+                o.queue_cap = parse(&arg, value(&mut args, &arg), "a queue depth");
+                if o.queue_cap == 0 {
                     bad_arg("invalid value '0' for '--queue-cap' (expected a positive queue depth)".into());
                 }
             }
             "--kind" => {
                 let v = value(&mut args, &arg);
-                kind = gwc_harness::Experiment::from_name(&v).unwrap_or_else(|| {
+                o.kind = gwc_harness::Experiment::from_name(&v).unwrap_or_else(|| {
                     bad_arg(format!(
                         "invalid value '{v}' for '--kind' (expected characterize, replay, or ablations)"
                     ))
                 });
             }
-            "--wait" => wait = true,
-            "--hash" => hash = Some(value(&mut args, &arg)),
+            "--wait" => o.wait = true,
+            "--hash" => o.hash = Some(value(&mut args, &arg)),
             "--drain-timeout-ms" => {
                 let n: u64 = parse(&arg, value(&mut args, &arg), "a positive millisecond count");
                 if n == 0 {
                     bad_arg("invalid value '0' for '--drain-timeout-ms' (expected a positive millisecond count)".into());
                 }
-                drain_timeout_ms = n;
+                o.drain_timeout_ms = n;
             }
             "--wal-rotate-bytes" => {
-                wal_rotate_bytes = parse(&arg, value(&mut args, &arg), "a byte count")
+                o.wal_rotate_bytes = parse(&arg, value(&mut args, &arg), "a byte count")
             }
             "--site" => {
                 let v = value(&mut args, &arg);
@@ -462,7 +463,7 @@ fn parse_args() -> Options {
                         "invalid value '{v}' for '--site' (run 'repro torture --list' for the registered sites)"
                     ));
                 }
-                torture_sites.push(v);
+                o.torture_sites.push(v);
             }
             "--format" => {
                 let v = value(&mut args, &arg);
@@ -471,85 +472,46 @@ fn parse_args() -> Options {
                         "invalid value '{v}' for '--format' (expected csv, html, or both)"
                     ));
                 }
-                format = v;
+                o.format = v;
             }
-            "--grid" => grid = Some(value(&mut args, &arg)),
-            "--dry-run" => dry_run = true,
-            "--seed" => config.seed = parse(&arg, value(&mut args, &arg), "a seed"),
-            "--no-refs" => no_refs = true,
-            "--all" => torture_all = true,
-            "--list" => torture_list = true,
-            "--matrix" => torture_matrix = true,
+            "--grid" => o.grid = Some(value(&mut args, &arg)),
+            "--dry-run" => o.dry_run = true,
+            "--seed" => o.config.seed = parse(&arg, value(&mut args, &arg), "a seed"),
+            "--no-refs" => o.no_refs = true,
+            "--all" => o.torture_all = true,
+            "--list" => o.torture_list = true,
+            "--matrix" => o.torture_matrix = true,
             "--help" | "-h" => help(),
             e if e.starts_with('-') => bad_arg(format!("unknown option '{e}'")),
-            e if is_experiment_name(e) => experiments.push(e.to_string()),
+            e if is_experiment_name(e) => o.experiments.push(e.to_string()),
             e => bad_arg(format!("unknown experiment '{e}'\n{KNOWN_EXPERIMENTS}")),
         }
     }
-    if experiments.is_empty() {
-        experiments.push("all".to_string());
+    if o.experiments.is_empty() {
+        o.experiments.push("all".to_string());
     }
     // Resolve --game once, up front: exact Table I names pass through,
     // unambiguous fragments expand, scn: scenario names canonicalize,
     // anything else is a usage error listing games and the grammar.
-    let game = match gwc_bench::resolve_workload(&game) {
+    o.game = match gwc_bench::resolve_workload(&o.game) {
         Ok(name) => name,
         Err(message) => bad_arg(format!("{message}\n(from '--game')")),
     };
     // Scenario workloads only make sense where the scenario generator is
     // wired in; the remaining --game consumers drive the Table I replay
     // machinery and would reject the name far less legibly.
-    if game.starts_with(gwc_scenarios::SCENARIO_PREFIX) {
-        for e in &experiments {
+    if o.game.starts_with(gwc_scenarios::SCENARIO_PREFIX) {
+        for e in &o.experiments {
             if matches!(e.as_str(), "replay" | "parallel" | "submit") {
                 bad_arg(format!(
-                    "experiment '{e}' does not accept scenario workloads ('--game {game}'); \
-                     scenarios run under 'trace' and 'sweep'"
+                    "experiment '{e}' does not accept scenario workloads ('--game {}'); \
+                     scenarios run under 'trace' and 'sweep'",
+                    o.game
                 ));
             }
         }
     }
-    Options {
-        experiments,
-        config,
-        rung,
-        csv,
-        game,
-        trace,
-        level,
-        out,
-        checkpoint_every,
-        resume_file,
-        threads,
-        check,
-        dir,
-        campaign_resume,
-        fail_fast,
-        max_retries,
-        deadline_ms,
-        work_budget,
-        breaker,
-        backoff_ms,
-        chaos,
-        stop_after,
-        addr,
-        data_dir,
-        workers,
-        queue_cap,
-        kind,
-        wait,
-        hash,
-        drain_timeout_ms,
-        wal_rotate_bytes,
-        torture_sites,
-        torture_all,
-        torture_list,
-        torture_matrix,
-        grid,
-        dry_run,
-        no_refs,
-        format,
-    }
+    o
 }
 
 fn supervisor_config(options: &Options) -> SupervisorConfig {

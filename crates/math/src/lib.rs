@@ -1,13 +1,13 @@
 //! Minimal 3D graphics math for the GWC GPU simulator.
 //!
 //! This crate provides the small, allocation-free math vocabulary used by the
-//! rest of the workspace: [`Vec2`], [`Vec3`], [`Vec4`], a column-major
-//! [`Mat4`], [`Plane`], axis-aligned boxes ([`Aabb`]) and a view [`Frustum`].
+//! rest of the workspace: [`Vec2`], [`Vec3`], [`Vec4`] and a column-major
+//! [`Mat4`].
 //!
 //! It is deliberately not a general-purpose linear algebra library — only the
 //! operations a rendering pipeline needs (transforms, dot/cross products,
-//! perspective projection, frustum classification) are implemented, but those
-//! are implemented completely and tested.
+//! perspective projection) are implemented, but those are implemented
+//! completely and tested.
 //!
 //! # Examples
 //!
@@ -27,16 +27,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod aabb;
-mod frustum;
 mod mat;
-mod plane;
 mod vec;
 
-pub use aabb::Aabb;
-pub use frustum::{Containment, Frustum};
 pub use mat::Mat4;
-pub use plane::Plane;
 pub use vec::{Vec2, Vec3, Vec4};
 
 /// Linear interpolation between `a` and `b` by factor `t` (not clamped).

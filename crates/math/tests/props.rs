@@ -1,6 +1,6 @@
 //! Property-based tests for the math substrate.
 
-use gwc_math::{Aabb, Frustum, Mat4, Plane, Vec3, Vec4};
+use gwc_math::{Mat4, Vec3};
 use proptest::prelude::*;
 
 fn finite_f32(range: std::ops::Range<f32>) -> impl Strategy<Value = f32> {
@@ -63,78 +63,5 @@ proptest! {
         let inv = m.inverse().unwrap();
         let q = inv.transform_point(m.transform_point(p));
         prop_assert!((q - p).length() < 1e-2);
-    }
-
-    #[test]
-    fn aabb_from_points_contains_all(pts in prop::collection::vec(vec3_in(-50.0, 50.0), 1..20)) {
-        let b = Aabb::from_points(pts.iter().copied());
-        for p in pts {
-            prop_assert!(b.contains(p));
-        }
-    }
-
-    #[test]
-    fn aabb_union_contains_operands(
-        a0 in vec3_in(-50.0, 50.0), a1 in vec3_in(-50.0, 50.0),
-        b0 in vec3_in(-50.0, 50.0), b1 in vec3_in(-50.0, 50.0),
-    ) {
-        let a = Aabb::new(a0, a1);
-        let b = Aabb::new(b0, b1);
-        let u = a.union(&b);
-        for c in a.corners().into_iter().chain(b.corners()) {
-            prop_assert!(u.contains(c));
-        }
-    }
-
-    #[test]
-    fn plane_from_points_contains_points(
-        a in vec3_in(-10.0, 10.0),
-        b in vec3_in(-10.0, 10.0),
-        c in vec3_in(-10.0, 10.0),
-    ) {
-        let area2 = (b - a).cross(c - a).length();
-        prop_assume!(area2 > 1e-2); // skip degenerate triangles
-        let pl = Plane::from_points(a, b, c);
-        prop_assert!(pl.signed_distance(a).abs() < 1e-2);
-        prop_assert!(pl.signed_distance(b).abs() < 1e-2);
-        prop_assert!(pl.signed_distance(c).abs() < 1e-2);
-    }
-
-    #[test]
-    fn frustum_point_matches_clip_volume(p in vec3_in(-120.0, 120.0)) {
-        let vp = Mat4::perspective(1.2, 1.333, 0.5, 100.0)
-            * Mat4::look_at(Vec3::new(0.0, 2.0, 10.0), Vec3::ZERO, Vec3::Y);
-        let f = Frustum::from_matrix(&vp);
-        let clip = vp * p.extend(1.0);
-        // Only compare where w is comfortably positive (the plane form and
-        // the inequality form differ for w <= 0).
-        prop_assume!(clip.w > 1e-3);
-        let in_clip = clip.x >= -clip.w && clip.x <= clip.w
-            && clip.y >= -clip.w && clip.y <= clip.w
-            && clip.z >= -clip.w && clip.z <= clip.w;
-        // Allow disagreement only within a small band around the boundary.
-        let margin: f32 = [
-            clip.x + clip.w, clip.w - clip.x,
-            clip.y + clip.w, clip.w - clip.y,
-            clip.z + clip.w, clip.w - clip.z,
-        ].into_iter().fold(f32::INFINITY, f32::min);
-        prop_assume!(margin.abs() > 1e-3 * clip.w.max(1.0));
-        prop_assert_eq!(f.contains_point(p), in_clip);
-    }
-
-    #[test]
-    fn clip_classify_never_rejects_contained_vertex(
-        v0 in vec3_in(-0.9, 0.9),
-        v1 in vec3_in(-5.0, 5.0),
-        v2 in vec3_in(-5.0, 5.0),
-    ) {
-        // v0 is strictly inside, so the triangle can never be Outside.
-        use gwc_math::Containment;
-        let c = Frustum::classify_clip_triangle(
-            Vec4::new(v0.x, v0.y, v0.z, 1.0),
-            Vec4::new(v1.x, v1.y, v1.z, 1.0),
-            Vec4::new(v2.x, v2.y, v2.z, 1.0),
-        );
-        prop_assert!(c != Containment::Outside);
     }
 }

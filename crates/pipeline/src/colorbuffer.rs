@@ -30,7 +30,8 @@ fn factor(f: BlendFactor, src: Vec4, dst: Vec4) -> Vec4 {
     }
 }
 
-/// The render target: a `width × height` RGBA8 surface.
+/// The render target: a `width × height` RGBA8 surface. Fragments are
+/// blended into it only through its band views.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColorBuffer {
     width: u32,
@@ -76,12 +77,6 @@ impl ColorBuffer {
         unpack(self.pixels[self.index(x, y)])
     }
 
-    /// Raw packed pixel.
-    #[inline]
-    pub fn raw_pixel(&self, x: u32, y: u32) -> u32 {
-        self.pixels[self.index(x, y)]
-    }
-
     /// The raw packed surface, row-major (checkpoint support).
     pub fn raw_pixels(&self) -> &[u32] {
         &self.pixels
@@ -95,38 +90,6 @@ impl ColorBuffer {
     pub fn restore(width: u32, height: u32, pixels: Vec<u32>) -> Self {
         assert_eq!(pixels.len(), (width * height) as usize, "surface size mismatch");
         ColorBuffer { width, height, pixels }
-    }
-
-    /// Writes a fragment color with blending.
-    pub fn write(&mut self, x: u32, y: u32, src: Vec4, blend: &BlendState) {
-        let i = self.index(x, y);
-        let out = if blend.enabled {
-            let dst = unpack(self.pixels[i]);
-            let s = factor(blend.src, src, dst);
-            let d = factor(blend.dst, src, dst);
-            (src * s + dst * d).saturate()
-        } else {
-            src.saturate()
-        };
-        self.pixels[i] = pack(out);
-    }
-
-    /// The packed colors of the 8×8 block containing `(x, y)` (row-major,
-    /// padded with 0 at surface edges) — feeds the color compressor.
-    pub fn block_colors(&self, x: u32, y: u32) -> [u32; 64] {
-        let bx = (x / 8) * 8;
-        let by = (y / 8) * 8;
-        let mut out = [0u32; 64];
-        for iy in 0..8 {
-            for ix in 0..8 {
-                let xx = bx + ix;
-                let yy = by + iy;
-                if xx < self.width && yy < self.height {
-                    out[(iy * 8 + ix) as usize] = self.pixels[self.index(xx, yy)];
-                }
-            }
-        }
-        out
     }
 
     /// Splits the surface into disjoint horizontal bands of `band_rows`
@@ -185,7 +148,8 @@ impl ColorBuffer {
 
 /// A mutable view of one horizontal band of a [`ColorBuffer`], addressed
 /// in global surface coordinates. Produced by [`ColorBuffer::band_views`];
-/// the stripe-parallel fragment pipeline gives each worker exactly one.
+/// the stripe-parallel fragment pipeline gives each worker exactly one. A
+/// band of `height.next_multiple_of(8)` rows covers the whole surface.
 #[derive(Debug)]
 pub(crate) struct ColorBandView<'a> {
     width: u32,
@@ -211,8 +175,7 @@ impl ColorBandView<'_> {
         ((y - self.y0) * self.width + x) as usize
     }
 
-    /// Writes a fragment color with blending (global coordinates); the
-    /// same arithmetic as [`ColorBuffer::write`].
+    /// Writes a fragment color with blending (global coordinates).
     pub fn write(&mut self, x: u32, y: u32, src: Vec4, blend: &BlendState) {
         let i = self.index(x, y);
         let out = if blend.enabled {
@@ -227,8 +190,7 @@ impl ColorBandView<'_> {
     }
 
     /// The packed colors of the 8×8 block containing `(x, y)` (row-major,
-    /// 0-padded past the surface edge) — matches
-    /// [`ColorBuffer::block_colors`] for blocks owned by this band.
+    /// 0-padded past the surface edge) — feeds the color compressor.
     pub fn block_colors(&self, x: u32, y: u32) -> [u32; 64] {
         let bx = (x / 8) * 8;
         let by = (y / 8) * 8;
@@ -251,6 +213,14 @@ impl ColorBandView<'_> {
 mod tests {
     use super::*;
 
+    /// The one band that covers the whole surface.
+    fn whole(cb: &mut ColorBuffer) -> ColorBandView<'_> {
+        let rows = cb.height().next_multiple_of(8);
+        let mut bands = cb.band_views(rows);
+        assert_eq!(bands.len(), 1);
+        bands.pop().unwrap()
+    }
+
     #[test]
     fn pack_unpack_roundtrip() {
         let c = Vec4::new(0.25, 0.5, 0.75, 1.0);
@@ -263,7 +233,7 @@ mod tests {
     #[test]
     fn write_replace() {
         let mut cb = ColorBuffer::new(4, 4);
-        cb.write(1, 2, Vec4::new(1.0, 0.0, 0.0, 1.0), &BlendState::default());
+        whole(&mut cb).write(1, 2, Vec4::new(1.0, 0.0, 0.0, 1.0), &BlendState::default());
         let p = cb.pixel(1, 2);
         assert!(p.x > 0.99 && p.y < 0.01);
     }
@@ -273,7 +243,7 @@ mod tests {
         let mut cb = ColorBuffer::new(2, 2);
         cb.clear(Vec4::new(0.25, 0.25, 0.25, 1.0));
         let add = BlendState { enabled: true, src: BlendFactor::One, dst: BlendFactor::One };
-        cb.write(0, 0, Vec4::new(0.25, 0.5, 0.0, 1.0), &add);
+        whole(&mut cb).write(0, 0, Vec4::new(0.25, 0.5, 0.0, 1.0), &add);
         let p = cb.pixel(0, 0);
         assert!((p.x - 0.5).abs() < 0.01);
         assert!((p.y - 0.75).abs() < 0.01);
@@ -289,7 +259,7 @@ mod tests {
             dst: BlendFactor::OneMinusSrcAlpha,
         };
         // 50% red over blue.
-        cb.write(0, 0, Vec4::new(1.0, 0.0, 0.0, 0.5), &alpha);
+        whole(&mut cb).write(0, 0, Vec4::new(1.0, 0.0, 0.0, 0.5), &alpha);
         let p = cb.pixel(0, 0);
         assert!((p.x - 0.5).abs() < 0.01, "{p:?}");
         assert!((p.z - 0.5).abs() < 0.01, "{p:?}");
@@ -300,7 +270,7 @@ mod tests {
         let mut cb = ColorBuffer::new(2, 2);
         cb.clear(Vec4::ONE);
         let add = BlendState { enabled: true, src: BlendFactor::One, dst: BlendFactor::One };
-        cb.write(0, 0, Vec4::ONE, &add);
+        whole(&mut cb).write(0, 0, Vec4::ONE, &add);
         assert_eq!(cb.pixel(0, 0).x, 1.0);
     }
 
@@ -308,14 +278,14 @@ mod tests {
     fn block_colors_uniform_after_clear() {
         let mut cb = ColorBuffer::new(16, 16);
         cb.clear(Vec4::new(0.5, 0.5, 0.5, 1.0));
-        let blk = cb.block_colors(3, 3);
+        let blk = whole(&mut cb).block_colors(3, 3);
         assert!(blk.iter().all(|&c| c == blk[0]));
     }
 
     #[test]
     fn ppm_header_and_payload() {
         let mut cb = ColorBuffer::new(3, 2);
-        cb.write(0, 0, Vec4::new(1.0, 0.0, 0.0, 1.0), &BlendState::default());
+        whole(&mut cb).write(0, 0, Vec4::new(1.0, 0.0, 0.0, 1.0), &BlendState::default());
         let ppm = cb.to_ppm();
         assert!(ppm.starts_with(b"P6\n3 2\n255\n"));
         let header = b"P6\n3 2\n255\n".len();
@@ -328,24 +298,23 @@ mod tests {
     #[test]
     fn band_views_match_whole_surface() {
         let blend = BlendState { enabled: true, src: BlendFactor::One, dst: BlendFactor::One };
-        let mut whole = ColorBuffer::new(16, 24);
+        let mut whole_buf = ColorBuffer::new(16, 24);
         let mut banded = ColorBuffer::new(16, 24);
         let writes =
             [(0u32, 0u32), (5, 7), (8, 8), (15, 15), (3, 16), (15, 23), (0, 23), (7, 12)];
-        for &(x, y) in &writes {
-            whole.write(x, y, Vec4::new(0.3, 0.1, 0.6, 0.5), &blend);
-        }
         {
+            let mut full = whole(&mut whole_buf);
             let mut views = banded.band_views(8);
             assert_eq!(views.len(), 3);
             for &(x, y) in &writes {
+                full.write(x, y, Vec4::new(0.3, 0.1, 0.6, 0.5), &blend);
                 let v = &mut views[(y / 8) as usize];
                 v.write(x, y, Vec4::new(0.3, 0.1, 0.6, 0.5), &blend);
             }
-            assert_eq!(views[1].block_colors(8, 8), whole.block_colors(8, 8));
+            assert_eq!(views[1].block_colors(8, 8), full.block_colors(8, 8));
             assert_eq!(views[2].rows(), 8);
         }
-        assert_eq!(banded.raw_pixels(), whole.raw_pixels());
+        assert_eq!(banded.raw_pixels(), whole_buf.raw_pixels());
     }
 
     #[test]
@@ -354,12 +323,10 @@ mod tests {
         let views = cb.band_views(16);
         assert_eq!(views.len(), 2);
         assert_eq!(views[1].rows(), 4);
-        // Block colors at the surface edge pad with zeros like the whole
-        // surface does.
-        let whole = ColorBuffer::new(8, 20);
+        // Block colors at the surface edge pad with zeros like one
+        // full-height band does.
         let mut cb2 = ColorBuffer::new(8, 20);
-        let views2 = cb2.band_views(16);
-        assert_eq!(views2[1].block_colors(0, 16), whole.block_colors(0, 16));
+        assert_eq!(views[1].block_colors(0, 16), whole(&mut cb2).block_colors(0, 16));
     }
 
     #[test]

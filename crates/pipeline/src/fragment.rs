@@ -1,13 +1,16 @@
 //! The stripe-parallel fragment pipeline.
 //!
 //! The framebuffer is partitioned into horizontal *stripes* of
-//! [`crate::GpuConfig::stripe_rows`] rows. Geometry (vertex fetch,
-//! shading, clipping, triangle setup) stays serial on the GPU front end;
-//! each draw's fragment work — rasterization, Hierarchical Z, Z/stencil,
-//! fragment shading, texturing, and blending — is then flushed through
-//! one [`StripeJob`] per stripe. Stripes own disjoint bands of every
-//! framebuffer surface plus private cache/memory models, so jobs can run
-//! on worker threads with no shared mutable state.
+//! [`crate::GpuConfig::stripe_rows`] rows. Once a draw's geometry (vertex
+//! fetch, shading, clipping, triangle setup) has run in chunks on the
+//! front end (`geometry`), its fragment work — rasterization,
+//! Hierarchical Z, Z/stencil, fragment shading, texturing, and blending —
+//! is flushed through one [`StripeJob`] per stripe. Stripes own disjoint
+//! bands of every framebuffer surface plus private cache/memory models,
+//! so jobs can run on worker threads with no shared mutable state. The
+//! band views are the only code that touches surface blocks: the
+//! end-of-frame cache flush goes through each stripe's own bands and the
+//! same write-back rule as a cache eviction.
 //!
 //! Determinism is by construction, not by locking:
 //!
@@ -226,10 +229,11 @@ impl StripeJob<'_> {
             self.record_spans(&mut trace);
             trace.ring
         });
+        let (hz_tested, hz_rejected) = self.hz.counts();
         StripeOutcome {
             shard: self.shard,
-            hz_tested: self.hz.tested(),
-            hz_rejected: self.hz.rejected(),
+            hz_tested,
+            hz_rejected,
             fs_delta: *self.fs.stats(),
             fault: self.fault,
             traffic: self.units.mem.take_current(),
@@ -462,7 +466,15 @@ impl StripeJob<'_> {
             }
         }
         if let Some(line) = out.evicted_dirty_line {
-            self.write_back_z_line(line, packet);
+            write_back_z_line(
+                &self.z,
+                &mut self.z_dir,
+                &mut self.units.mem,
+                line,
+                packet.zb_addr,
+                packet.width,
+                packet.z_compression,
+            );
         }
     }
 
@@ -482,39 +494,69 @@ impl StripeJob<'_> {
             }
         }
         if let Some(line) = out.evicted_dirty_line {
-            self.write_back_color_line(line, packet);
+            write_back_color_line(
+                &self.color,
+                &mut self.color_dir,
+                &mut self.units.mem,
+                line,
+                packet.cb_addr,
+                packet.width,
+                packet.color_compression,
+            );
         }
-    }
-
-    /// Writes back an evicted dirty Z line: reclassifies the 8×8 block
-    /// from this stripe's band and sizes the compressed transfer.
-    fn write_back_z_line(&mut self, line: u64, packet: &DrawPacket<'_>) {
-        let (x, y) = block_pixel(line, packet.zb_addr, packet.width);
-        let state = if packet.z_compression {
-            classify_z_block(&self.z.block_depths(x, y))
-        } else {
-            BlockState::Uncompressed
-        };
-        self.z_dir.set_state_at(x, y, state);
-        self.units.mem.write(MemClient::ZStencil, state.transfer_bytes(256).max(64));
-    }
-
-    fn write_back_color_line(&mut self, line: u64, packet: &DrawPacket<'_>) {
-        let (x, y) = block_pixel(line, packet.cb_addr, packet.width);
-        let state = if packet.color_compression {
-            classify_color_block(&self.color.block_colors(x, y))
-        } else {
-            BlockState::Uncompressed
-        };
-        self.color_dir.set_state_at(x, y, state);
-        self.units.mem.write(MemClient::Color, state.transfer_bytes(256).max(64));
     }
 }
 
+/// Writes back one dirty line of the Z surface at `base`, whether a
+/// stripe's Z cache evicted it or the end-of-frame flush drained it:
+/// classifies the line's 8×8 block from the stripe's depth band, records
+/// the state in the stripe's directory band, and writes the compressed
+/// block — one 64-byte burst at least — to `mem`.
+pub(crate) fn write_back_z_line(
+    z: &ZBandView<'_>,
+    dir: &mut DirBandView<'_>,
+    mem: &mut MemoryController,
+    line: u64,
+    base: u64,
+    width: u32,
+    compression: bool,
+) {
+    let (x, y) = block_pixel(line, base, width);
+    let state = if compression {
+        classify_z_block(&z.block_depths(x, y))
+    } else {
+        BlockState::Uncompressed
+    };
+    dir.set_state_at(x, y, state);
+    mem.write(MemClient::ZStencil, state.transfer_bytes(256).max(64));
+}
+
+/// Writes back one dirty line of the color surface at `base`; the color
+/// twin of [`write_back_z_line`], classifying from the stripe's color band.
+pub(crate) fn write_back_color_line(
+    color: &ColorBandView<'_>,
+    dir: &mut DirBandView<'_>,
+    mem: &mut MemoryController,
+    line: u64,
+    base: u64,
+    width: u32,
+    compression: bool,
+) {
+    let (x, y) = block_pixel(line, base, width);
+    let state = if compression {
+        classify_color_block(&color.block_colors(x, y))
+    } else {
+        BlockState::Uncompressed
+    };
+    dir.set_state_at(x, y, state);
+    mem.write(MemClient::Color, state.transfer_bytes(256).max(64));
+}
+
 /// Maps a framebuffer line address back to the pixel of its 8×8 block.
-/// Stripe caches only ever hold lines of their own band, so the result
-/// always lands inside the calling stripe.
-pub(crate) fn block_pixel(line_addr: u64, base: u64, width: u32) -> (u32, u32) {
+/// Stripe caches only ever hold lines of their own band (a 256-byte line
+/// is one 8×8 block, and stripes are 16-row aligned), so the result always
+/// lands inside the calling stripe's bands.
+fn block_pixel(line_addr: u64, base: u64, width: u32) -> (u32, u32) {
     let block = (line_addr - base) / 256;
     let blocks_x = width.div_ceil(8) as u64;
     let bx = (block % blocks_x) as u32;

@@ -4,8 +4,9 @@
 //! three phases whose parallelism is invisible in every result:
 //!
 //! 1. **Plan** (serial, cheap): walk the index stream in triangle order,
-//!    simulating the post-transform cache on index *tags* alone — the same
-//!    FIFO the [`crate::VertexCache`] models, minus the payloads. Produces
+//!    simulating the post-transform cache on index *tags* alone — a FIFO
+//!    of `vertex_cache_entries` slots that starts empty for every draw (a
+//!    test diffs it against a payload-carrying reference cache). Produces
 //!    the miss list (vertices that must be shaded, in first-use order) and,
 //!    per triangle, the three miss-list slots it assembles from.
 //! 2. **Shade** (parallel): the miss list is cut into fixed-size chunks;

@@ -5,8 +5,7 @@ use std::collections::HashMap;
 use gwc_api::{decode_commands, encode_commands, ClearMask, Command, CommandSink, Indices,
               StateCommand, VertexLayout};
 use gwc_math::Vec4;
-use gwc_mem::compress::{classify_color_block, classify_z_block, BlockState,
-                        CompressionDirectory};
+use gwc_mem::compress::{BlockState, CompressionDirectory};
 use gwc_mem::{AddressSpace, Cache, CacheConfig, CacheStats, ClientTraffic, FrameTraffic,
               LineState, MemClient, MemoryController};
 use gwc_raster::{BlendState, CompareFunc, CullMode, DepthStencilBuffer, DepthState,
@@ -20,24 +19,15 @@ use crate::checkpoint::{self, CheckpointError, Dec, Enc, SectionWriter};
 use crate::colorbuffer::ColorBuffer;
 use crate::config::GpuConfig;
 use crate::error::{FaultKind, FaultPolicy, SimError};
-use crate::fragment::{DrawPacket, StripeJob, StripeTrace, StripeUnits};
+use crate::fragment::{write_back_color_line, write_back_z_line, DrawPacket, StripeJob,
+                      StripeTrace, StripeUnits};
 use crate::geometry::{self, GeomRequest, SetupState};
 use crate::stats::{FrameSimStats, SimStats};
-use crate::streamer::VertexCache;
 
 #[derive(Debug)]
 struct VertexBufferRes {
     layout: VertexLayout,
     data: Vec<Vec4>,
-    #[allow(dead_code)]
-    addr: u64,
-}
-
-#[derive(Debug)]
-struct IndexBufferRes {
-    indices: Indices,
-    #[allow(dead_code)]
-    addr: u64,
 }
 
 /// Validation products of a draw that needs fragment work resolved.
@@ -70,7 +60,7 @@ pub struct Gpu {
 
     // Resources.
     vertex_buffers: HashMap<u32, VertexBufferRes>,
-    index_buffers: HashMap<u32, IndexBufferRes>,
+    index_buffers: HashMap<u32, Indices>,
     textures: HashMap<u32, (Texture, SamplerState)>,
     programs: HashMap<u32, Program>,
 
@@ -90,7 +80,6 @@ pub struct Gpu {
     // Execution units.
     vs_machine: ShaderMachine,
     fs_machine: ShaderMachine,
-    vcache: VertexCache,
 
     // Stripe-parallel fragment back end: per-stripe caches, texture units
     // and memory controllers (stripe layout is fixed by the configuration,
@@ -173,12 +162,13 @@ impl Gpu {
     ///
     /// Panics if [`GpuConfig::stripe_rows`] is zero or not a multiple
     /// of 16 (rasterizer tiles and compression blocks must not straddle
-    /// stripes).
+    /// stripes), or if [`GpuConfig::vertex_cache_entries`] is zero.
     pub fn new(config: GpuConfig) -> Self {
         assert!(
             config.stripe_rows > 0 && config.stripe_rows.is_multiple_of(16),
             "stripe_rows must be a non-zero multiple of 16"
         );
+        assert!(config.vertex_cache_entries > 0, "vertex cache needs at least one entry");
         let viewport = Viewport::new(config.width, config.height);
         let mut vram = AddressSpace::new();
         let fb_bytes = config.width as u64 * config.height as u64 * 4;
@@ -208,7 +198,6 @@ impl Gpu {
             alpha_test: None,
             vs_machine: ShaderMachine::new(),
             fs_machine: ShaderMachine::new(),
-            vcache: VertexCache::new(config.vertex_cache_entries),
             stripes,
             threads,
             geom_threads,
@@ -471,11 +460,10 @@ impl Gpu {
         }
 
         // Index fetch traffic (Vertex memory client reads the index list).
-        let indices = &self
+        let indices = self
             .index_buffers
             .get(&index_buffer)
-            .ok_or(SimError::UnboundResource { kind: "index-buffer", id: index_buffer })?
-            .indices;
+            .ok_or(SimError::UnboundResource { kind: "index-buffer", id: index_buffer })?;
         let index_len = indices.len() as u64;
         if first as u64 + count as u64 > index_len {
             return Err(SimError::IndexOutOfRange {
@@ -535,7 +523,7 @@ impl Gpu {
             attrs: vb.layout.attributes.max(1) as usize,
             stride_bytes: vb.layout.stride_bytes as u64,
             vertex_buffer,
-            indices: &self.index_buffers[&index_buffer].indices,
+            indices: &self.index_buffers[&index_buffer],
             first: first as usize,
             primitive,
             tri_count,
@@ -556,7 +544,6 @@ impl Gpu {
         let draw_start = self.tick;
         self.tick += out.ticks;
         let geom_end = self.tick;
-        self.vcache.add_stats(out.shard.indices, out.shard.vcache_hits);
         self.frame.indices += out.shard.indices;
         self.frame.vcache_hits += out.shard.vcache_hits;
         self.frame.shaded_vertices += out.shard.shaded_vertices;
@@ -768,17 +755,34 @@ impl Gpu {
     }
 
     fn end_frame(&mut self) {
-        // Flush per-stripe framebuffer caches in stripe order (dirty lines
-        // become compressed writebacks through the master controller; the
-        // surfaces are whole again, so the full-surface helpers apply).
-        for i in 0..self.stripes.len() {
-            for line in self.stripes[i].z_cache.flush_collect() {
-                self.write_back_z_line(line);
+        // Flush each stripe's framebuffer caches in stripe order, through
+        // that stripe's own bands: its caches only hold lines of its band,
+        // and dirty lines are written back into the master controller by
+        // the same rule as evictions.
+        let GpuConfig { stripe_rows, width, z_compression, color_compression, .. } = self.config;
+        let (zb_addr, cb_addr, mem) = (self.zb_addr, self.cb_addr, &mut self.mem);
+        let bands = self
+            .zbuffer
+            .band_views(stripe_rows)
+            .into_iter()
+            .zip(self.z_dir.band_views(stripe_rows))
+            .zip(self.colorbuffer.band_views(stripe_rows))
+            .zip(self.color_dir.band_views(stripe_rows));
+        let stripes = self.stripes.iter_mut().zip(bands);
+        for (units, (((z, mut z_dir), color), mut color_dir)) in stripes {
+            for line in units.z_cache.flush_collect() {
+                write_back_z_line(&z, &mut z_dir, mem, line, zb_addr, width, z_compression);
             }
-        }
-        for i in 0..self.stripes.len() {
-            for line in self.stripes[i].color_cache.flush_collect() {
-                self.write_back_color_line(line);
+            for line in units.color_cache.flush_collect() {
+                write_back_color_line(
+                    &color,
+                    &mut color_dir,
+                    mem,
+                    line,
+                    cb_addr,
+                    width,
+                    color_compression,
+                );
             }
         }
         // DAC scan-out: reads the (possibly compressed) color surface.
@@ -830,7 +834,6 @@ impl Gpu {
         }
         let frame = std::mem::take(&mut self.frame);
         self.stats.push_frame(frame);
-        self.vcache.reset_stats();
     }
 
     /// Builds the telemetry row for the frame being retired. Cache fields
@@ -845,8 +848,6 @@ impl Gpu {
             l0 = (l0.0 + a.0, l0.1 + a.1);
             l1 = (l1.0 + b.0, l1.1 + b.1);
         }
-        let (vcache_lookups, vcache_hits) = self.vcache.frame_stats();
-        debug_assert_eq!(vcache_lookups, self.frame.indices);
         let parts = traffic.parts();
         FrameSample {
             frame: self.stats.frames().len() as u64,
@@ -854,7 +855,7 @@ impl Gpu {
             batches: 0, // stamped by the collector from its draw count
             indices: self.frame.indices,
             shaded_vertices: self.frame.shaded_vertices,
-            vcache_hits,
+            vcache_hits: self.frame.vcache_hits,
             triangles: self.frame.traversed,
             frags_raster: self.frame.frags_raster,
             frags_zst: self.frame.frags_zst,
@@ -878,29 +879,6 @@ impl Gpu {
             bw_written: parts.iter().map(|c| c.written).collect(),
         }
     }
-
-    fn write_back_z_line(&mut self, line: u64) {
-        // Writebacks already counted by flush_collect; size them here.
-        let (x, y) = crate::fragment::block_pixel(line, self.zb_addr, self.config.width);
-        let state = if self.config.z_compression {
-            classify_z_block(&self.zbuffer.block_depths(x, y))
-        } else {
-            BlockState::Uncompressed
-        };
-        self.z_dir.set_state_at(x, y, state);
-        self.mem.write(MemClient::ZStencil, state.transfer_bytes(256).max(64));
-    }
-
-    fn write_back_color_line(&mut self, line: u64) {
-        let (x, y) = crate::fragment::block_pixel(line, self.cb_addr, self.config.width);
-        let state = if self.config.color_compression {
-            classify_color_block(&self.colorbuffer.block_colors(x, y))
-        } else {
-            BlockState::Uncompressed
-        };
-        self.color_dir.set_state_at(x, y, state);
-        self.mem.write(MemClient::Color, state.transfer_bytes(256).max(64));
-    }
 }
 
 impl Gpu {
@@ -911,9 +889,11 @@ impl Gpu {
                 let bytes = (data.len() / layout.attributes.max(1) as usize) as u64
                     * layout.stride_bytes as u64;
                 self.check_alloc(bytes.max(1))?;
-                let addr = self.vram.alloc(bytes.max(1), 256);
+                // The address is not kept, but the allocation shapes the
+                // VRAM layout a checkpoint restore must reproduce.
+                self.vram.alloc(bytes.max(1), 256);
                 self.vertex_buffers
-                    .insert(*id, VertexBufferRes { layout: *layout, data: data.clone(), addr });
+                    .insert(*id, VertexBufferRes { layout: *layout, data: data.clone() });
                 // Upload: CP writes the buffer into GPU memory.
                 self.mem.write(MemClient::CommandProcessor, bytes);
                 self.creation_log.push(command.clone());
@@ -921,8 +901,8 @@ impl Gpu {
             Command::CreateIndexBuffer { id, indices } => {
                 let bytes = indices.total_bytes();
                 self.check_alloc(bytes.max(1))?;
-                let addr = self.vram.alloc(bytes.max(1), 256);
-                self.index_buffers.insert(*id, IndexBufferRes { indices: indices.clone(), addr });
+                self.vram.alloc(bytes.max(1), 256); // layout only, as above
+                self.index_buffers.insert(*id, indices.clone());
                 self.mem.write(MemClient::CommandProcessor, bytes);
                 self.creation_log.push(command.clone());
             }
@@ -952,11 +932,7 @@ impl Gpu {
                     self.tex_bindings.insert(*unit, *texture);
                 }
                 StateCommand::BindPrograms { vertex, fragment } => {
-                    if self.bound_vertex != Some(*vertex) {
-                        self.bound_vertex = Some(*vertex);
-                        // New vertex program invalidates cached transforms.
-                        self.vcache.invalidate();
-                    }
+                    self.bound_vertex = Some(*vertex);
                     self.bound_fragment = Some(*fragment);
                 }
                 StateCommand::VertexConstants { base, values } => {
@@ -969,8 +945,6 @@ impl Gpu {
                     for (i, v) in values.iter().enumerate() {
                         self.vs_machine.set_constant(*base as usize + i, *v);
                     }
-                    // Constants change transformed results.
-                    self.vcache.invalidate();
                 }
                 StateCommand::FragmentConstants { base, values } => {
                     Self::check_constants(
@@ -992,12 +966,9 @@ impl Gpu {
                 }
             }
             Command::Draw { vertex_buffer, index_buffer, primitive, first, count } => {
-                // Different draws reference different vertex ranges; the
-                // post-transform cache is index-tagged per buffer, so flush
-                // between draws of different buffers (conservative).
-                let r = self.draw(*vertex_buffer, *index_buffer, *primitive, *first, *count);
-                self.vcache.invalidate();
-                r?;
+                // Each draw's geometry plan starts with an empty
+                // post-transform cache: tags are indices into one buffer.
+                self.draw(*vertex_buffer, *index_buffer, *primitive, *first, *count)?;
             }
             Command::EndFrame => self.end_frame(),
         }
@@ -1161,7 +1132,6 @@ impl Gpu {
             FrameSimStats::default(),
             "checkpoints are only taken at frame boundaries"
         );
-        debug_assert!(self.vcache.is_empty(), "vertex cache drains at frame boundaries");
         debug_assert_eq!(self.vs_prev, *self.vs_machine.stats());
         debug_assert_eq!(self.fs_prev, *self.fs_machine.stats());
 
@@ -1366,7 +1336,6 @@ impl Gpu {
         }
         gpu.bound_vertex = bound_vertex;
         gpu.bound_fragment = bound_fragment;
-        gpu.vcache.invalidate();
 
         // Statistics.
         let mut stat = Dec::new(checkpoint::require(&sections, *b"STAT")?);

@@ -38,6 +38,7 @@ mod fragment;
 mod geometry;
 mod gpu;
 mod stats;
+#[cfg(test)]
 mod streamer;
 mod texunit;
 
@@ -48,5 +49,4 @@ pub use config::GpuConfig;
 pub use error::{FaultKind, FaultPolicy, SimError};
 pub use gpu::Gpu;
 pub use stats::{FrameSimStats, SimStats};
-pub use streamer::VertexCache;
 pub use texunit::TextureUnit;

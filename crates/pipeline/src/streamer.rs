@@ -1,5 +1,6 @@
-//! The streamer: index-driven vertex fetch through the post-transform
-//! vertex cache.
+//! A payload-carrying post-transform vertex cache, compiled for tests
+//! only: the naive reference that the tag-only FIFO of `geometry::plan`
+//! is diffed against.
 
 use gwc_raster::ShadedVertex;
 
@@ -53,18 +54,10 @@ impl VertexCache {
         }
     }
 
-    /// Invalidates all entries (on draw-call boundaries the cache persists;
-    /// on vertex-buffer or program rebinds it must flush).
+    /// Invalidates all entries.
     pub fn invalidate(&mut self) {
         self.entries.clear();
         self.next_evict = 0;
-    }
-
-    /// Whether the cache holds no entries. The pipeline invalidates after
-    /// every draw, so this always holds at frame boundaries — which is what
-    /// lets checkpoints skip serializing cache contents.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Lookups performed.
@@ -84,28 +77,6 @@ impl VertexCache {
         } else {
             self.hits as f64 / self.lookups as f64
         }
-    }
-
-    /// `(lookups, hits)` since the last [`VertexCache::reset_stats`] —
-    /// i.e. per-frame values at frame boundaries, where telemetry samples
-    /// them.
-    pub fn frame_stats(&self) -> (u64, u64) {
-        (self.lookups, self.hits)
-    }
-
-    /// Resets statistics, keeping contents.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.lookups = 0;
-    }
-
-    /// Credits lookups and hits counted elsewhere. The chunked geometry
-    /// front end simulates this cache's FIFO on index tags alone (see
-    /// `geometry::plan`) and books the totals here so frame sampling and
-    /// hit-rate reporting are unchanged.
-    pub fn add_stats(&mut self, lookups: u64, hits: u64) {
-        self.lookups += lookups;
-        self.hits += hits;
     }
 }
 

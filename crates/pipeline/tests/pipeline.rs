@@ -157,6 +157,12 @@ fn vertex_cache_shares_quad_vertices() {
 }
 
 #[test]
+#[should_panic(expected = "vertex cache needs at least one entry")]
+fn zero_entry_vertex_cache_is_rejected() {
+    Gpu::new(GpuConfig { vertex_cache_entries: 0, ..GpuConfig::r520(16, 16) });
+}
+
+#[test]
 fn occluded_geometry_removed_by_hz_or_z() {
     let mut c = Ctx::new();
     c.clear();

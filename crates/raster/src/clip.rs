@@ -7,7 +7,7 @@
 //! triangles crossing the near plane must be geometrically clipped because
 //! vertices with `w <= 0` cannot be projected.
 
-use gwc_math::{Containment, Frustum};
+use gwc_math::Vec4;
 
 use crate::vertex::ShadedVertex;
 
@@ -23,6 +23,57 @@ pub enum ClipResult {
     Clipped(Vec<[ShadedVertex; 3]>),
 }
 
+/// Where a triangle lies relative to the canonical clip volume.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Containment {
+    /// Entirely outside at least one plane.
+    Outside,
+    /// Crosses at least one plane.
+    Intersecting,
+    /// Entirely inside all planes.
+    Inside,
+}
+
+/// Classifies a triangle given by three homogeneous clip-space vertices
+/// against the canonical clip volume (`-w <= x,y,z <= w`).
+///
+/// Returns `Outside` when all three vertices are beyond one common plane
+/// (trivial reject), `Inside` when all vertices satisfy all six
+/// inequalities, `Intersecting` otherwise.
+fn classify_clip_triangle(v0: Vec4, v1: Vec4, v2: Vec4) -> Containment {
+    // Outcode per vertex: bit i set if outside plane i.
+    let outcode = |v: Vec4| -> u8 {
+        let mut c = 0u8;
+        if v.x < -v.w {
+            c |= 1;
+        }
+        if v.x > v.w {
+            c |= 2;
+        }
+        if v.y < -v.w {
+            c |= 4;
+        }
+        if v.y > v.w {
+            c |= 8;
+        }
+        if v.z < -v.w {
+            c |= 16;
+        }
+        if v.z > v.w {
+            c |= 32;
+        }
+        c
+    };
+    let (c0, c1, c2) = (outcode(v0), outcode(v1), outcode(v2));
+    if c0 & c1 & c2 != 0 {
+        Containment::Outside
+    } else if c0 | c1 | c2 == 0 {
+        Containment::Inside
+    } else {
+        Containment::Intersecting
+    }
+}
+
 /// Signed distance of a clip-space point from the near plane `z = -w`
 /// (positive inside).
 #[inline]
@@ -36,7 +87,7 @@ fn near_dist(v: &ShadedVertex) -> f32 {
 /// frustum plane, [`ClipResult::Accepted`] when no near-plane crossing
 /// exists, and [`ClipResult::Clipped`] with 1–2 output triangles otherwise.
 pub fn clip_near(tri: &[ShadedVertex; 3]) -> ClipResult {
-    match Frustum::classify_clip_triangle(tri[0].clip, tri[1].clip, tri[2].clip) {
+    match classify_clip_triangle(tri[0].clip, tri[1].clip, tri[2].clip) {
         Containment::Outside => return ClipResult::Rejected,
         Containment::Inside => return ClipResult::Accepted,
         Containment::Intersecting => {}
@@ -79,10 +130,45 @@ pub fn clip_near(tri: &[ShadedVertex; 3]) -> ClipResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gwc_math::Vec4;
 
     fn v(x: f32, y: f32, z: f32, w: f32) -> ShadedVertex {
         ShadedVertex::at(Vec4::new(x, y, z, w))
+    }
+
+    #[test]
+    fn clip_triangle_trivial_cases() {
+        // Fully inside the canonical volume.
+        let inside = classify_clip_triangle(
+            Vec4::new(0.0, 0.0, 0.0, 1.0),
+            Vec4::new(0.5, 0.0, 0.0, 1.0),
+            Vec4::new(0.0, 0.5, 0.0, 1.0),
+        );
+        assert_eq!(inside, Containment::Inside);
+        // All vertices beyond +x.
+        let outside = classify_clip_triangle(
+            Vec4::new(2.0, 0.0, 0.0, 1.0),
+            Vec4::new(3.0, 0.0, 0.0, 1.0),
+            Vec4::new(2.0, 1.0, 0.0, 1.0),
+        );
+        assert_eq!(outside, Containment::Outside);
+        // Straddling +x.
+        let straddle = classify_clip_triangle(
+            Vec4::new(0.0, 0.0, 0.0, 1.0),
+            Vec4::new(3.0, 0.0, 0.0, 1.0),
+            Vec4::new(0.0, 1.0, 0.0, 1.0),
+        );
+        assert_eq!(straddle, Containment::Intersecting);
+    }
+
+    #[test]
+    fn clip_triangle_separate_planes_not_rejected() {
+        // Vertices each outside a *different* plane: cannot trivially reject.
+        let c = classify_clip_triangle(
+            Vec4::new(-2.0, 0.0, 0.0, 1.0),
+            Vec4::new(2.0, 0.0, 0.0, 1.0),
+            Vec4::new(0.0, 2.0, 0.0, 1.0),
+        );
+        assert_eq!(c, Containment::Intersecting);
     }
 
     #[test]

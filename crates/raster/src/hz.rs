@@ -7,7 +7,7 @@
 //! "quite significant" GDDR bandwidth.
 
 use crate::state::CompareFunc;
-use crate::zbuffer::{DepthStencilBuffer, ZBandView};
+use crate::zbuffer::ZBandView;
 
 /// The Hierarchical-Z buffer: one conservative *maximum depth* per 8×8
 /// pixel block, held on-die.
@@ -15,7 +15,8 @@ use crate::zbuffer::{DepthStencilBuffer, ZBandView};
 /// The bound is refreshed lazily from the real depth buffer: a z-write
 /// marks the block dirty, and the next HZ test against a dirty block
 /// recomputes the bound (modelling the z-cache → HZ feedback path of real
-/// hardware).
+/// hardware). Quads are tested only through [`HzBandView`]s; the
+/// test/reject counters here are their sums.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HzBuffer {
     blocks_x: u32,
@@ -40,18 +41,6 @@ impl HzBuffer {
     pub fn clear(&mut self, depth: f32) {
         self.max_z.fill(depth);
         self.dirty.fill(false);
-    }
-
-    #[inline]
-    fn block_index(&self, x: u32, y: u32) -> usize {
-        ((y / 8) * self.blocks_x + (x / 8)) as usize
-    }
-
-    /// Marks the block containing `(x, y)` dirty after a depth write.
-    #[inline]
-    pub fn note_depth_write(&mut self, x: u32, y: u32) {
-        let i = self.block_index(x, y);
-        self.dirty[i] = true;
     }
 
     /// The complete state — per-block max depth, dirty flags, and the
@@ -84,82 +73,6 @@ impl HzBuffer {
         hz.tested = tested;
         hz.rejected = rejected;
         hz
-    }
-
-    /// Tests a quad at `(x, y)` whose minimum incoming depth is `min_z`.
-    ///
-    /// Returns `false` when the quad is *provably* invisible (every
-    /// fragment would fail the depth test) — the quad is culled without
-    /// touching GPU memory. HZ can only reason about `Less`/`LessEqual`
-    /// comparisons; for other functions it conservatively passes, matching
-    /// the paper's note that HZ "may be disabled for some z and stencil
-    /// modes".
-    ///
-    /// `zbuf` supplies the ground-truth depths for lazily refreshing dirty
-    /// blocks.
-    pub fn test_quad(
-        &mut self,
-        x: u32,
-        y: u32,
-        min_z: f32,
-        func: CompareFunc,
-        zbuf: &DepthStencilBuffer,
-    ) -> bool {
-        self.tested += 1;
-        // `Equal` is rejectable too: when every incoming depth exceeds the
-        // block's maximum stored depth, no fragment can be equal.
-        let rejectable =
-            matches!(func, CompareFunc::Less | CompareFunc::LessEqual | CompareFunc::Equal);
-        if !rejectable {
-            return true;
-        }
-        let i = self.block_index(x, y);
-        if self.dirty[i] {
-            self.max_z[i] = zbuf.block_max_depth(x, y);
-            self.dirty[i] = false;
-        }
-        let bound = self.max_z[i];
-        let fails = match func {
-            CompareFunc::Less => min_z >= bound,
-            CompareFunc::LessEqual | CompareFunc::Equal => min_z > bound,
-            _ => false,
-        };
-        if fails {
-            self.rejected += 1;
-            return false;
-        }
-        true
-    }
-
-    /// Quads tested so far.
-    pub fn tested(&self) -> u64 {
-        self.tested
-    }
-
-    /// Quads rejected so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Fraction of tested quads rejected (Table IX's HZ column).
-    pub fn rejection_rate(&self) -> f64 {
-        if self.tested == 0 {
-            0.0
-        } else {
-            self.rejected as f64 / self.tested as f64
-        }
-    }
-
-    /// Resets the test counters (frame boundary) without touching bounds.
-    pub fn reset_stats(&mut self) {
-        self.tested = 0;
-        self.rejected = 0;
-    }
-
-    /// On-die storage footprint in bytes (one f32 bound per block; real
-    /// hardware packs this tighter).
-    pub fn on_die_bytes(&self) -> u64 {
-        self.max_z.len() as u64 * 4
     }
 
     /// Adds per-band test/reject counts gathered by [`HzBandView`]s back
@@ -199,7 +112,8 @@ impl HzBuffer {
 }
 
 /// A mutable view of one horizontal band of an [`HzBuffer`], with private
-/// test/reject counters so parallel workers never contend.
+/// test/reject counters so parallel workers never contend. A band of
+/// `height.next_multiple_of(8)` rows covers the whole buffer.
 ///
 /// Accessors take *global* pixel coordinates.
 #[derive(Debug)]
@@ -228,8 +142,17 @@ impl HzBandView<'_> {
         self.dirty[i] = true;
     }
 
-    /// Tests a quad; see [`HzBuffer::test_quad`]. Dirty blocks refresh from
-    /// the band's own slice of the depth buffer.
+    /// Tests a quad at `(x, y)` whose minimum incoming depth is `min_z`.
+    ///
+    /// Returns `false` when the quad is *provably* invisible (every
+    /// fragment would fail the depth test) — the quad is culled without
+    /// touching GPU memory. HZ can only reason about `Less`/`LessEqual`
+    /// comparisons; for other functions it conservatively passes, matching
+    /// the paper's note that HZ "may be disabled for some z and stencil
+    /// modes".
+    ///
+    /// `zbuf` is the same band of the depth buffer; it supplies the
+    /// ground-truth depths for lazily refreshing dirty blocks.
     pub fn test_quad(
         &mut self,
         x: u32,
@@ -239,6 +162,8 @@ impl HzBandView<'_> {
         zbuf: &ZBandView<'_>,
     ) -> bool {
         self.tested += 1;
+        // `Equal` is rejectable too: when every incoming depth exceeds the
+        // block's maximum stored depth, no fragment can be equal.
         let rejectable =
             matches!(func, CompareFunc::Less | CompareFunc::LessEqual | CompareFunc::Equal);
         if !rejectable {
@@ -262,17 +187,7 @@ impl HzBandView<'_> {
         true
     }
 
-    /// Quads tested through this view.
-    pub fn tested(&self) -> u64 {
-        self.tested
-    }
-
-    /// Quads rejected through this view.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// `(tested, rejected)` in one call, for telemetry span arguments.
+    /// Quads `(tested, rejected)` through this view.
     pub fn counts(&self) -> (u64, u64) {
         (self.tested, self.rejected)
     }
@@ -282,8 +197,21 @@ impl HzBandView<'_> {
 mod tests {
     use super::*;
     use crate::state::{DepthState, StencilState};
+    use crate::zbuffer::DepthStencilBuffer;
 
-    fn write_block(zb: &mut DepthStencilBuffer, hz: &mut HzBuffer, x0: u32, y0: u32, z: f32) {
+    /// The one band of each surface that covers a whole `width × height`
+    /// target.
+    fn whole<'a>(
+        zb: &'a mut DepthStencilBuffer,
+        hz: &'a mut HzBuffer,
+    ) -> (ZBandView<'a>, HzBandView<'a>) {
+        let rows = zb.height().next_multiple_of(8);
+        let (mut zbands, mut hbands) = (zb.band_views(rows), hz.band_views(rows));
+        assert_eq!((zbands.len(), hbands.len()), (1, 1));
+        (zbands.pop().unwrap(), hbands.pop().unwrap())
+    }
+
+    fn write_block(zb: &mut ZBandView<'_>, hz: &mut HzBandView<'_>, x0: u32, y0: u32, z: f32) {
         let ds = DepthState::default();
         let ss = StencilState::default();
         for y in y0..y0 + 8 {
@@ -296,123 +224,116 @@ mod tests {
 
     #[test]
     fn clear_buffer_rejects_nothing() {
-        let zb = DepthStencilBuffer::new(32, 32);
-        let mut hz = HzBuffer::new(32, 32);
-        assert!(hz.test_quad(4, 4, 0.5, CompareFunc::Less, &zb));
-        assert_eq!(hz.rejected(), 0);
+        let (mut zb, mut hz) = (DepthStencilBuffer::new(32, 32), HzBuffer::new(32, 32));
+        let (zv, mut hv) = whole(&mut zb, &mut hz);
+        assert!(hv.test_quad(4, 4, 0.5, CompareFunc::Less, &zv));
+        assert_eq!(hv.counts(), (1, 0));
     }
 
     #[test]
     fn occluded_quad_rejected_after_refresh() {
-        let mut zb = DepthStencilBuffer::new(32, 32);
-        let mut hz = HzBuffer::new(32, 32);
-        write_block(&mut zb, &mut hz, 0, 0, 0.3);
+        let (mut zb, mut hz) = (DepthStencilBuffer::new(32, 32), HzBuffer::new(32, 32));
+        let (mut zv, mut hv) = whole(&mut zb, &mut hz);
+        write_block(&mut zv, &mut hv, 0, 0, 0.3);
         // A quad behind the occluder: min_z 0.5 >= block max 0.3.
-        assert!(!hz.test_quad(2, 2, 0.5, CompareFunc::Less, &zb));
+        assert!(!hv.test_quad(2, 2, 0.5, CompareFunc::Less, &zv));
         // A quad in front passes.
-        assert!(hz.test_quad(2, 2, 0.1, CompareFunc::Less, &zb));
-        assert_eq!(hz.tested(), 2);
-        assert_eq!(hz.rejected(), 1);
-        assert!((hz.rejection_rate() - 0.5).abs() < 1e-12);
+        assert!(hv.test_quad(2, 2, 0.1, CompareFunc::Less, &zv));
+        assert_eq!(hv.counts(), (2, 1));
     }
 
     #[test]
     fn partial_block_keeps_conservative_bound() {
-        let mut zb = DepthStencilBuffer::new(32, 32);
-        let mut hz = HzBuffer::new(32, 32);
+        let (mut zb, mut hz) = (DepthStencilBuffer::new(32, 32), HzBuffer::new(32, 32));
+        let (mut zv, mut hv) = whole(&mut zb, &mut hz);
         // Write only half the block: max depth stays 1.0 (clear) so nothing
         // at z < 1.0 can be rejected.
         let ds = DepthState::default();
         let ss = StencilState::default();
         for y in 0..4 {
             for x in 0..8 {
-                zb.test_and_update(x, y, 0.2, &ds, &ss);
-                hz.note_depth_write(x, y);
+                zv.test_and_update(x, y, 0.2, &ds, &ss);
+                hv.note_depth_write(x, y);
             }
         }
-        assert!(hz.test_quad(0, 0, 0.9, CompareFunc::Less, &zb));
+        assert!(hv.test_quad(0, 0, 0.9, CompareFunc::Less, &zv));
     }
 
     #[test]
     fn non_less_funcs_never_reject() {
-        let mut zb = DepthStencilBuffer::new(16, 16);
-        let mut hz = HzBuffer::new(16, 16);
-        write_block(&mut zb, &mut hz, 0, 0, 0.1);
-        assert!(hz.test_quad(0, 0, 0.9, CompareFunc::Always, &zb));
-        assert!(hz.test_quad(0, 0, 0.9, CompareFunc::Greater, &zb));
-        assert!(hz.test_quad(0, 0, 0.9, CompareFunc::NotEqual, &zb));
+        let (mut zb, mut hz) = (DepthStencilBuffer::new(16, 16), HzBuffer::new(16, 16));
+        let (mut zv, mut hv) = whole(&mut zb, &mut hz);
+        write_block(&mut zv, &mut hv, 0, 0, 0.1);
+        assert!(hv.test_quad(0, 0, 0.9, CompareFunc::Always, &zv));
+        assert!(hv.test_quad(0, 0, 0.9, CompareFunc::Greater, &zv));
+        assert!(hv.test_quad(0, 0, 0.9, CompareFunc::NotEqual, &zv));
     }
 
     #[test]
     fn equal_func_rejects_impossible_quads() {
-        let mut zb = DepthStencilBuffer::new(16, 16);
-        let mut hz = HzBuffer::new(16, 16);
-        write_block(&mut zb, &mut hz, 0, 0, 0.3);
+        let (mut zb, mut hz) = (DepthStencilBuffer::new(16, 16), HzBuffer::new(16, 16));
+        let (mut zv, mut hv) = whole(&mut zb, &mut hz);
+        write_block(&mut zv, &mut hv, 0, 0, 0.3);
         // min_z above the block max: equality impossible.
-        assert!(!hz.test_quad(0, 0, 0.9, CompareFunc::Equal, &zb));
+        assert!(!hv.test_quad(0, 0, 0.9, CompareFunc::Equal, &zv));
         // min_z at/below the bound: must pass.
-        assert!(hz.test_quad(0, 0, 0.3, CompareFunc::Equal, &zb));
-        assert!(hz.test_quad(0, 0, 0.1, CompareFunc::Equal, &zb));
+        assert!(hv.test_quad(0, 0, 0.3, CompareFunc::Equal, &zv));
+        assert!(hv.test_quad(0, 0, 0.1, CompareFunc::Equal, &zv));
     }
 
     #[test]
     fn lequal_boundary() {
-        let mut zb = DepthStencilBuffer::new(16, 16);
-        let mut hz = HzBuffer::new(16, 16);
-        write_block(&mut zb, &mut hz, 0, 0, 0.5);
+        let (mut zb, mut hz) = (DepthStencilBuffer::new(16, 16), HzBuffer::new(16, 16));
+        let (mut zv, mut hv) = whole(&mut zb, &mut hz);
+        write_block(&mut zv, &mut hv, 0, 0, 0.5);
         // Equal depth passes LessEqual but fails Less.
-        assert!(hz.test_quad(0, 0, 0.5, CompareFunc::LessEqual, &zb));
-        assert!(!hz.test_quad(0, 0, 0.5, CompareFunc::Less, &zb));
+        assert!(hv.test_quad(0, 0, 0.5, CompareFunc::LessEqual, &zv));
+        assert!(!hv.test_quad(0, 0, 0.5, CompareFunc::Less, &zv));
     }
 
     #[test]
     fn clear_resets_bounds() {
-        let mut zb = DepthStencilBuffer::new(16, 16);
-        let mut hz = HzBuffer::new(16, 16);
-        write_block(&mut zb, &mut hz, 0, 0, 0.1);
-        assert!(!hz.test_quad(0, 0, 0.5, CompareFunc::Less, &zb));
+        let (mut zb, mut hz) = (DepthStencilBuffer::new(16, 16), HzBuffer::new(16, 16));
+        {
+            let (mut zv, mut hv) = whole(&mut zb, &mut hz);
+            write_block(&mut zv, &mut hv, 0, 0, 0.1);
+            assert!(!hv.test_quad(0, 0, 0.5, CompareFunc::Less, &zv));
+        }
         zb.clear(1.0, 0);
         hz.clear(1.0);
-        assert!(hz.test_quad(0, 0, 0.5, CompareFunc::Less, &zb));
+        let (zv, mut hv) = whole(&mut zb, &mut hz);
+        assert!(hv.test_quad(0, 0, 0.5, CompareFunc::Less, &zv));
     }
 
     #[test]
     fn never_rejects_visible_fragments() {
         // Safety property: if any pixel in the block would pass, HZ must
         // pass the quad.
-        let mut zb = DepthStencilBuffer::new(16, 16);
-        let mut hz = HzBuffer::new(16, 16);
-        write_block(&mut zb, &mut hz, 0, 0, 0.4);
+        let (mut zb, mut hz) = (DepthStencilBuffer::new(16, 16), HzBuffer::new(16, 16));
+        let (mut zv, mut hv) = whole(&mut zb, &mut hz);
+        write_block(&mut zv, &mut hv, 0, 0, 0.4);
         // One pixel is farther, creating a visible hole at 0.45.
-        zb.test_and_update(3, 3, 0.41, &DepthState { test: false, write: false, func: CompareFunc::Always }, &StencilState::default());
+        zv.test_and_update(3, 3, 0.41, &DepthState { test: false, write: false, func: CompareFunc::Always }, &StencilState::default());
         // min_z 0.39 < bound -> must pass.
-        assert!(hz.test_quad(0, 0, 0.39, CompareFunc::Less, &zb));
+        assert!(hv.test_quad(0, 0, 0.39, CompareFunc::Less, &zv));
     }
 
     #[test]
     fn band_views_match_whole_buffer() {
-        // The same writes + tests through bands give identical decisions,
-        // bounds and (summed) counters as the whole-surface path.
+        // The same writes + tests through 16-row bands give identical
+        // decisions, bounds and (summed) counters as one full-height band.
         let mut zb_w = DepthStencilBuffer::new(16, 32);
         let mut hz_w = HzBuffer::new(16, 32);
-        write_block(&mut zb_w, &mut hz_w, 0, 0, 0.3);
-        write_block(&mut zb_w, &mut hz_w, 8, 24, 0.6);
-
         let mut zb_b = DepthStencilBuffer::new(16, 32);
         let mut hz_b = HzBuffer::new(16, 32);
-        {
+        let (whole_counts, band_counts) = {
+            let (mut zw, mut hw) = whole(&mut zb_w, &mut hz_w);
             let mut zbands = zb_b.band_views(16);
             let mut hbands = hz_b.band_views(16);
-            let d = DepthState::default();
-            let s = StencilState::default();
             for (x0, y0, z) in [(0u32, 0u32, 0.3f32), (8, 24, 0.6)] {
+                write_block(&mut zw, &mut hw, x0, y0, z);
                 let bi = (y0 / 16) as usize;
-                for y in y0..y0 + 8 {
-                    for x in x0..x0 + 8 {
-                        zbands[bi].test_and_update(x, y, z, &d, &s);
-                        hbands[bi].note_depth_write(x, y);
-                    }
-                }
+                write_block(&mut zbands[bi], &mut hbands[bi], x0, y0, z);
             }
             for (x, y, min_z, func) in [
                 (2u32, 2u32, 0.5f32, CompareFunc::Less),
@@ -423,24 +344,16 @@ mod tests {
                 let bi = (y / 16) as usize;
                 assert_eq!(
                     hbands[bi].test_quad(x, y, min_z, func, &zbands[bi]),
-                    hz_w.test_quad(x, y, min_z, func, &zb_w),
+                    hw.test_quad(x, y, min_z, func, &zw),
                     "decision mismatch at ({x},{y})"
                 );
             }
-            let (tested, rejected) =
-                hbands.iter().fold((0, 0), |(t, r), b| (t + b.tested(), r + b.rejected()));
+            (hw.counts(), hbands.iter().map(HzBandView::counts).collect::<Vec<_>>())
+        };
+        hz_w.add_counts(whole_counts.0, whole_counts.1);
+        for (tested, rejected) in band_counts {
             hz_b.add_counts(tested, rejected);
         }
-        assert_eq!(hz_b.tested(), hz_w.tested());
-        assert_eq!(hz_b.rejected(), hz_w.rejected());
-        assert_eq!(hz_b.snapshot().0, hz_w.snapshot().0, "refreshed bounds identical");
-        assert_eq!(hz_b.snapshot().1, hz_w.snapshot().1, "dirty flags identical");
-    }
-
-    #[test]
-    fn on_die_footprint_small() {
-        let hz = HzBuffer::new(1024, 768);
-        // 128x96 blocks * 4B = 48 KB on-die.
-        assert_eq!(hz.on_die_bytes(), 128 * 96 * 4);
+        assert_eq!(hz_b, hz_w, "refreshed bounds, dirty flags and counters identical");
     }
 }

@@ -16,47 +16,11 @@ pub enum ZResult {
     Pass,
 }
 
-/// The combined stencil + depth test for one pixel's stored state,
-/// shared by [`DepthStencilBuffer::test_and_update`] and
-/// [`ZBandView::test_and_update`] so the banded parallel path and the
-/// whole-surface path cannot drift apart.
-fn test_pixel(
-    depth: &mut f32,
-    stencil: &mut u8,
-    z: f32,
-    ds: &DepthState,
-    ss: &StencilState,
-) -> ZResult {
-    if ss.test {
-        let stored = *stencil;
-        let pass = ss.func.compare(ss.reference & ss.read_mask, stored & ss.read_mask);
-        if !pass {
-            *stencil = ss.fail.apply(stored, ss.reference);
-            return ZResult::StencilFail;
-        }
-    }
-    let depth_pass = !ds.test || ds.func.compare(z, *depth);
-    if !depth_pass {
-        if ss.test {
-            let stored = *stencil;
-            *stencil = ss.zfail.apply(stored, ss.reference);
-        }
-        return ZResult::DepthFail;
-    }
-    if ss.test {
-        let stored = *stencil;
-        *stencil = ss.pass.apply(stored, ss.reference);
-    }
-    if ds.test && ds.write {
-        *depth = z;
-    }
-    ZResult::Pass
-}
-
 /// A `width × height` depth (f32) + stencil (u8) buffer.
 ///
 /// This is the *architectural state*; bandwidth, caching and compression of
-/// the surface are modelled by the pipeline on top.
+/// the surface are modelled by the pipeline on top. Fragments test and
+/// update it only through [`ZBandView`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DepthStencilBuffer {
     width: u32,
@@ -142,27 +106,6 @@ impl DepthStencilBuffer {
         DepthStencilBuffer { width, height, depth, stencil }
     }
 
-    /// Runs the combined stencil + depth test for a fragment at `(x, y)`
-    /// with incoming depth `z`, applying stencil ops and the depth write
-    /// exactly per the GL pipeline:
-    ///
-    /// 1. stencil test (masked compare against the reference);
-    /// 2. on stencil fail → `fail` op, fragment culled;
-    /// 3. depth test (skipped when disabled);
-    /// 4. on depth fail → `zfail` op, fragment culled;
-    /// 5. otherwise `pass` op and, if depth writes are on, store `z`.
-    pub fn test_and_update(
-        &mut self,
-        x: u32,
-        y: u32,
-        z: f32,
-        ds: &DepthState,
-        ss: &StencilState,
-    ) -> ZResult {
-        let i = self.index(x, y);
-        test_pixel(&mut self.depth[i], &mut self.stencil[i], z, ds, ss)
-    }
-
     /// Splits the buffer into disjoint mutable views over horizontal bands
     /// of `band_rows` rows each (the last band may be shorter), for the
     /// stripe-parallel fragment pipeline.
@@ -189,46 +132,14 @@ impl DepthStencilBuffer {
             })
             .collect()
     }
-
-    /// Maximum stored depth within the 8×8 block containing `(x, y)` —
-    /// used to refresh the Hierarchical-Z bound.
-    pub fn block_max_depth(&self, x: u32, y: u32) -> f32 {
-        let bx = (x / 8) * 8;
-        let by = (y / 8) * 8;
-        let mut m = 0f32;
-        for yy in by..(by + 8).min(self.height) {
-            for xx in bx..(bx + 8).min(self.width) {
-                m = m.max(self.depth[self.index(xx, yy)]);
-            }
-        }
-        m
-    }
-
-    /// Depth values of the 8×8 block containing `(x, y)` in row-major
-    /// order, padded with the clear value at surface edges (feeds the z
-    /// compressor).
-    pub fn block_depths(&self, x: u32, y: u32) -> [f32; 64] {
-        let bx = (x / 8) * 8;
-        let by = (y / 8) * 8;
-        let mut out = [1.0f32; 64];
-        for iy in 0..8 {
-            for ix in 0..8 {
-                let xx = bx + ix;
-                let yy = by + iy;
-                if xx < self.width && yy < self.height {
-                    out[(iy * 8 + ix) as usize] = self.depth[self.index(xx, yy)];
-                }
-            }
-        }
-        out
-    }
 }
 
-/// A mutable view of one horizontal band of a [`DepthStencilBuffer`].
+/// A mutable view of one horizontal band of a [`DepthStencilBuffer`]: the
+/// only path that tests, writes or reads blocks of the surface. A band of
+/// `height.next_multiple_of(8)` rows covers the whole buffer.
 ///
 /// All accessors take *global* pixel coordinates; in debug builds the view
-/// asserts they fall inside its band. Semantics are pixel-for-pixel those
-/// of the whole-surface buffer (both call the same test kernel).
+/// asserts they fall inside its band.
 #[derive(Debug)]
 pub struct ZBandView<'a> {
     width: u32,
@@ -273,8 +184,15 @@ impl ZBandView<'_> {
         self.stencil[self.index(x, y)]
     }
 
-    /// Runs the combined stencil + depth test at a global pixel; see
-    /// [`DepthStencilBuffer::test_and_update`].
+    /// Runs the combined stencil + depth test for a fragment at global
+    /// pixel `(x, y)` with incoming depth `z`, applying stencil ops and the
+    /// depth write exactly per the GL pipeline:
+    ///
+    /// 1. stencil test (masked compare against the reference);
+    /// 2. on stencil fail → `fail` op, fragment culled;
+    /// 3. depth test (skipped when disabled);
+    /// 4. on depth fail → `zfail` op, fragment culled;
+    /// 5. otherwise `pass` op and, if depth writes are on, store `z`.
     pub fn test_and_update(
         &mut self,
         x: u32,
@@ -284,11 +202,32 @@ impl ZBandView<'_> {
         ss: &StencilState,
     ) -> ZResult {
         let i = self.index(x, y);
-        let r = test_pixel(&mut self.depth[i], &mut self.stencil[i], z, ds, ss);
-        if r == ZResult::Pass && ds.test && ds.write {
+        let (depth, stencil) = (&mut self.depth[i], &mut self.stencil[i]);
+        if ss.test {
+            let stored = *stencil;
+            let pass = ss.func.compare(ss.reference & ss.read_mask, stored & ss.read_mask);
+            if !pass {
+                *stencil = ss.fail.apply(stored, ss.reference);
+                return ZResult::StencilFail;
+            }
+        }
+        let depth_pass = !ds.test || ds.func.compare(z, *depth);
+        if !depth_pass {
+            if ss.test {
+                let stored = *stencil;
+                *stencil = ss.zfail.apply(stored, ss.reference);
+            }
+            return ZResult::DepthFail;
+        }
+        if ss.test {
+            let stored = *stencil;
+            *stencil = ss.pass.apply(stored, ss.reference);
+        }
+        if ds.test && ds.write {
+            *depth = z;
             self.writes += 1;
         }
-        r
+        ZResult::Pass
     }
 
     /// Depth values written through this view (test passes with depth
@@ -297,8 +236,8 @@ impl ZBandView<'_> {
         self.writes
     }
 
-    /// Maximum stored depth within the 8×8 block containing `(x, y)`; see
-    /// [`DepthStencilBuffer::block_max_depth`].
+    /// Maximum stored depth within the 8×8 block containing `(x, y)` —
+    /// used to refresh the Hierarchical-Z bound.
     pub fn block_max_depth(&self, x: u32, y: u32) -> f32 {
         let bx = (x / 8) * 8;
         let by = (y / 8) * 8;
@@ -311,8 +250,9 @@ impl ZBandView<'_> {
         m
     }
 
-    /// Depth values of the 8×8 block containing `(x, y)`, padded with the
-    /// clear value; see [`DepthStencilBuffer::block_depths`].
+    /// Depth values of the 8×8 block containing `(x, y)` in row-major
+    /// order, padded with the clear value at surface edges (feeds the z
+    /// compressor).
     pub fn block_depths(&self, x: u32, y: u32) -> [f32; 64] {
         let bx = (x / 8) * 8;
         let by = (y / 8) * 8;
@@ -343,47 +283,62 @@ mod tests {
         StencilState::default()
     }
 
+    /// The one band that covers the whole buffer.
+    fn whole(b: &mut DepthStencilBuffer) -> ZBandView<'_> {
+        let rows = b.height().next_multiple_of(8);
+        let mut bands = b.band_views(rows);
+        assert_eq!(bands.len(), 1);
+        bands.pop().unwrap()
+    }
+
     #[test]
     fn depth_less_pass_and_write() {
         let mut b = DepthStencilBuffer::new(4, 4);
-        assert_eq!(b.test_and_update(1, 1, 0.5, &ds(), &no_stencil()), ZResult::Pass);
-        assert_eq!(b.depth_at(1, 1), 0.5);
+        let mut v = whole(&mut b);
+        assert_eq!(v.test_and_update(1, 1, 0.5, &ds(), &no_stencil()), ZResult::Pass);
+        assert_eq!(v.depth_at(1, 1), 0.5);
         // Farther fragment now fails.
-        assert_eq!(b.test_and_update(1, 1, 0.7, &ds(), &no_stencil()), ZResult::DepthFail);
-        assert_eq!(b.depth_at(1, 1), 0.5);
+        assert_eq!(v.test_and_update(1, 1, 0.7, &ds(), &no_stencil()), ZResult::DepthFail);
+        assert_eq!(v.depth_at(1, 1), 0.5);
+        assert_eq!(v.writes(), 1);
     }
 
     #[test]
     fn depth_write_disabled_tests_but_keeps() {
         let mut b = DepthStencilBuffer::new(2, 2);
+        let mut v = whole(&mut b);
         let state = DepthState { test: true, write: false, func: CompareFunc::Less };
-        assert_eq!(b.test_and_update(0, 0, 0.3, &state, &no_stencil()), ZResult::Pass);
-        assert_eq!(b.depth_at(0, 0), 1.0);
+        assert_eq!(v.test_and_update(0, 0, 0.3, &state, &no_stencil()), ZResult::Pass);
+        assert_eq!(v.depth_at(0, 0), 1.0);
+        assert_eq!(v.writes(), 0);
     }
 
     #[test]
     fn depth_test_disabled_always_passes() {
         let mut b = DepthStencilBuffer::new(2, 2);
-        b.test_and_update(0, 0, 0.1, &ds(), &no_stencil());
+        let mut v = whole(&mut b);
+        v.test_and_update(0, 0, 0.1, &ds(), &no_stencil());
         let state = DepthState { test: false, write: true, func: CompareFunc::Less };
-        assert_eq!(b.test_and_update(0, 0, 0.9, &state, &no_stencil()), ZResult::Pass);
+        assert_eq!(v.test_and_update(0, 0, 0.9, &state, &no_stencil()), ZResult::Pass);
         // No depth write when the test is disabled (GL semantics).
-        assert_eq!(b.depth_at(0, 0), 0.1);
+        assert_eq!(v.depth_at(0, 0), 0.1);
     }
 
     #[test]
     fn equal_func_for_multipass() {
         // Doom3-style: z-prepass with Less, then shading passes with Equal.
         let mut b = DepthStencilBuffer::new(2, 2);
-        b.test_and_update(0, 0, 0.4, &ds(), &no_stencil());
+        let mut v = whole(&mut b);
+        v.test_and_update(0, 0, 0.4, &ds(), &no_stencil());
         let eq = DepthState { test: true, write: false, func: CompareFunc::Equal };
-        assert_eq!(b.test_and_update(0, 0, 0.4, &eq, &no_stencil()), ZResult::Pass);
-        assert_eq!(b.test_and_update(0, 0, 0.41, &eq, &no_stencil()), ZResult::DepthFail);
+        assert_eq!(v.test_and_update(0, 0, 0.4, &eq, &no_stencil()), ZResult::Pass);
+        assert_eq!(v.test_and_update(0, 0, 0.41, &eq, &no_stencil()), ZResult::DepthFail);
     }
 
     #[test]
     fn stencil_fail_applies_fail_op() {
         let mut b = DepthStencilBuffer::new(2, 2);
+        let mut v = whole(&mut b);
         let ss = StencilState {
             test: true,
             func: CompareFunc::Equal,
@@ -393,8 +348,8 @@ mod tests {
             zfail: StencilOp::Keep,
             pass: StencilOp::Keep,
         };
-        assert_eq!(b.test_and_update(0, 0, 0.5, &ds(), &ss), ZResult::StencilFail);
-        assert_eq!(b.stencil_at(0, 0), 5);
+        assert_eq!(v.test_and_update(0, 0, 0.5, &ds(), &ss), ZResult::StencilFail);
+        assert_eq!(v.stencil_at(0, 0), 5);
     }
 
     #[test]
@@ -402,7 +357,8 @@ mod tests {
         // The stencil-shadow pattern: depth test fails, stencil zfail op
         // increments (Carmack's reverse uses zfail on front/back faces).
         let mut b = DepthStencilBuffer::new(2, 2);
-        b.test_and_update(0, 0, 0.2, &ds(), &no_stencil()); // occluder at 0.2
+        let mut v = whole(&mut b);
+        v.test_and_update(0, 0, 0.2, &ds(), &no_stencil()); // occluder at 0.2
         let ss = StencilState {
             test: true,
             func: CompareFunc::Always,
@@ -414,11 +370,11 @@ mod tests {
         };
         let no_write = DepthState { test: true, write: false, func: CompareFunc::Less };
         // Shadow volume fragment behind the occluder: depth fails, stencil++.
-        assert_eq!(b.test_and_update(0, 0, 0.8, &no_write, &ss), ZResult::DepthFail);
-        assert_eq!(b.stencil_at(0, 0), 1);
+        assert_eq!(v.test_and_update(0, 0, 0.8, &no_write, &ss), ZResult::DepthFail);
+        assert_eq!(v.stencil_at(0, 0), 1);
         // In front: depth passes, stencil unchanged (pass = Keep).
-        assert_eq!(b.test_and_update(0, 0, 0.1, &no_write, &ss), ZResult::Pass);
-        assert_eq!(b.stencil_at(0, 0), 1);
+        assert_eq!(v.test_and_update(0, 0, 0.1, &no_write, &ss), ZResult::Pass);
+        assert_eq!(v.stencil_at(0, 0), 1);
     }
 
     #[test]
@@ -433,13 +389,13 @@ mod tests {
         };
         ss.pass = StencilOp::Keep;
         // Stored 0 & mask = 0; ref & mask = 4 -> fail.
-        assert_eq!(b.test_and_update(0, 0, 0.5, &ds(), &ss), ZResult::StencilFail);
+        assert_eq!(whole(&mut b).test_and_update(0, 0, 0.5, &ds(), &ss), ZResult::StencilFail);
     }
 
     #[test]
     fn clear_resets_everything() {
         let mut b = DepthStencilBuffer::new(4, 4);
-        b.test_and_update(2, 2, 0.25, &ds(), &no_stencil());
+        whole(&mut b).test_and_update(2, 2, 0.25, &ds(), &no_stencil());
         b.clear(0.5, 7);
         assert_eq!(b.depth_at(2, 2), 0.5);
         assert_eq!(b.stencil_at(2, 2), 7);
@@ -448,40 +404,44 @@ mod tests {
     #[test]
     fn block_max_depth_tracks_writes() {
         let mut b = DepthStencilBuffer::new(16, 16);
-        assert_eq!(b.block_max_depth(0, 0), 1.0);
+        let mut v = whole(&mut b);
+        assert_eq!(v.block_max_depth(0, 0), 1.0);
         // Fill the whole first block with 0.3.
         for y in 0..8 {
             for x in 0..8 {
-                b.test_and_update(x, y, 0.3, &ds(), &no_stencil());
+                v.test_and_update(x, y, 0.3, &ds(), &no_stencil());
             }
         }
-        assert!((b.block_max_depth(3, 3) - 0.3).abs() < 1e-6);
+        assert!((v.block_max_depth(3, 3) - 0.3).abs() < 1e-6);
         // A different block is unaffected.
-        assert_eq!(b.block_max_depth(8, 0), 1.0);
+        assert_eq!(v.block_max_depth(8, 0), 1.0);
     }
 
     #[test]
     fn band_views_match_whole_surface_semantics() {
-        let mut whole = DepthStencilBuffer::new(16, 24);
+        let mut whole_buf = DepthStencilBuffer::new(16, 24);
         let mut banded = DepthStencilBuffer::new(16, 24);
         let d = ds();
         let s = no_stencil();
         let samples = [(0u32, 0u32, 0.5f32), (3, 7, 0.2), (15, 8, 0.9), (8, 15, 0.1), (0, 23, 0.4)];
         {
+            let mut full = whole(&mut whole_buf);
             let mut bands = banded.band_views(8);
             assert_eq!(bands.len(), 3);
             for &(x, y, z) in &samples {
                 let band = &mut bands[(y / 8) as usize];
                 assert_eq!(
                     band.test_and_update(x, y, z, &d, &s),
-                    whole.test_and_update(x, y, z, &d, &s),
+                    full.test_and_update(x, y, z, &d, &s),
                     "at ({x},{y})"
                 );
             }
-            assert!((bands[0].block_max_depth(3, 7) - whole.block_max_depth(3, 7)).abs() < 1e-9);
-            assert_eq!(bands[1].block_depths(8, 15), whole.block_depths(8, 15));
+            assert!((bands[0].block_max_depth(3, 7) - full.block_max_depth(3, 7)).abs() < 1e-9);
+            assert_eq!(bands[1].block_depths(8, 15), full.block_depths(8, 15));
+            let writes: u64 = bands.iter().map(ZBandView::writes).sum();
+            assert_eq!(writes, full.writes());
         }
-        assert_eq!(whole, banded, "views write through to the same state");
+        assert_eq!(whole_buf, banded, "views write through to the same state");
     }
 
     #[test]
@@ -499,8 +459,9 @@ mod tests {
     #[test]
     fn block_depths_row_major_with_padding() {
         let mut b = DepthStencilBuffer::new(10, 10); // edge blocks padded
-        b.test_and_update(9, 9, 0.2, &ds(), &no_stencil());
-        let blk = b.block_depths(9, 9);
+        let mut v = whole(&mut b);
+        v.test_and_update(9, 9, 0.2, &ds(), &no_stencil());
+        let blk = v.block_depths(9, 9);
         // (9,9) is at (1,1) within block (8..16, 8..16).
         assert_eq!(blk[9], 0.2);
         // Out-of-surface texels read the clear value.

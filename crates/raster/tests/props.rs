@@ -96,6 +96,18 @@ proptest! {
         }
     }
 
+    /// A triangle with a vertex strictly inside the clip volume is never
+    /// trivially rejected, however far out its other two vertices lie.
+    #[test]
+    fn clip_never_rejects_contained_vertex(
+        ax in -0.9f32..0.9, ay in -0.9f32..0.9, az in -0.9f32..0.9,
+        bx in -5.0f32..5.0, by in -5.0f32..5.0, bz in -5.0f32..5.0,
+        cx in -5.0f32..5.0, cy in -5.0f32..5.0, cz in -5.0f32..5.0,
+    ) {
+        let tri = [vert(ax, ay, az), vert(bx, by, bz), vert(cx, cy, cz)];
+        prop_assert!(clip_near(&tri) != ClipResult::Rejected);
+    }
+
     /// Interpolated depth at covered pixels stays within the vertex depth
     /// range (after the depth-range mapping).
     #[test]

@@ -16,7 +16,7 @@ use gwc_raster::{
 };
 use gwc_texture::{FilterMode, Image, SamplerState, TexFormat, WrapMode};
 use gwc_workloads::mesh::{self, Mesh, ATTRIBS};
-use gwc_workloads::{name_seed_hash, shaders, GameProfile, ProfileBuilder, SceneKind};
+use gwc_workloads::{name_seed_hash, shaders};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -125,61 +125,6 @@ impl ScenarioDemo {
             world: None,
             setup_done: false,
         }
-    }
-
-    /// The scenario being generated.
-    pub fn spec(&self) -> ScenarioSpec {
-        self.spec
-    }
-
-    /// The generation config.
-    pub fn config(&self) -> &ScenarioConfig {
-        &self.config
-    }
-
-    /// The declared [`GameProfile`]-compatible description of this
-    /// scenario: API-level characteristics estimated from the built
-    /// world, interned via [`ProfileBuilder`].
-    pub fn profile(&mut self) -> &'static GameProfile {
-        self.ensure_world();
-        let world = self.world.as_ref().expect("world built");
-        let geo_indices: u32 = world.geometry.iter().map(|g| g.count).sum();
-        let geo_batches = self.transform_items(&world.geometry).len() as u32;
-        let (geo_passes, extra_batches, extra_indices) = match self.spec.style {
-            RenderStyle::Prepass => (2, 0, 0),
-            RenderStyle::Stencil => {
-                let vol: u32 = world.volumes.iter().map(|v| v.count).sum();
-                (1 + LIGHTS, LIGHTS * world.volumes.len() as u32, LIGHTS * vol)
-            }
-            RenderStyle::ManyPass => (COLOR_PASSES, 0, 0),
-            RenderStyle::Post => {
-                let fs: u32 = world.fullscreen.iter().map(|q| q.count).sum();
-                (1, POST_QUADS, fs)
-            }
-        };
-        let batches = geo_passes * geo_batches + extra_batches;
-        let indices = geo_passes * geo_indices + extra_indices;
-        let strips = world.geometry.iter().any(|g| g.prim == PrimitiveType::TriangleStrip);
-        let mix = if strips { (0.0, 1.0, 0.0) } else { (1.0, 0.0, 0.0) };
-        let scene = match self.spec.archetype {
-            Archetype::Corridor | Archetype::Foliage => SceneKind::Indoor,
-            Archetype::Terrain | Archetype::Crowd => SceneKind::Open,
-            Archetype::Storm => SceneKind::Mixed,
-        };
-        ProfileBuilder::new(&self.spec.name())
-            .engine("gwc-scenarios")
-            .scene(scene)
-            .frames(self.config.frames)
-            .aniso((self.spec.archetype == Archetype::Terrain).then_some(8))
-            .batching(
-                indices as f64 / batches.max(1) as f64,
-                indices as f64,
-                2,
-            )
-            .shaders(VS_LEN as f64, FS_MAIN_TOTAL as f64, FS_MAIN_TEX as f64)
-            .primitives(mix, (indices / 3).max(1) as f64)
-            .stencil_shadows(self.spec.style == RenderStyle::Stencil)
-            .build()
     }
 
     /// Emits the entire demo (setup plus all frames) into a sink.

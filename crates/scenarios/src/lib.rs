@@ -14,9 +14,7 @@
 //! - is named `scn:<archetype>+<style>+<api>` and parses back to its
 //!   spec ([`ScenarioSpec::parse`]);
 //! - emits a [`gwc_api::Command`] stream from a seed (byte-identical
-//!   across thread counts and re-runs — [`ScenarioDemo`]);
-//! - declares a [`gwc_workloads::GameProfile`]-compatible description
-//!   ([`ScenarioDemo::profile`]); and
+//!   across thread counts and re-runs — [`ScenarioDemo`]); and
 //! - declares *expected characteristics* ([`expectations`]) — bounds on
 //!   the post-run AIWC-style feature vector (`gwc_stats::FeatureVector`)
 //!   that the sweep runner asserts after simulation.

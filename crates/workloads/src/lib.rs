@@ -30,5 +30,5 @@ pub mod shaders;
 mod profiles;
 mod timedemo;
 
-pub use profiles::{GameProfile, ProfileBuilder, SceneKind};
+pub use profiles::{GameProfile, SceneKind};
 pub use timedemo::{name_seed_hash, Timedemo, TimedemoConfig};

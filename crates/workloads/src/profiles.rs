@@ -101,145 +101,6 @@ impl GameProfile {
     }
 }
 
-/// Constructs a [`GameProfile`] for a workload that is not one of the
-/// twelve Table I games — the synthesized scenarios of `gwc-scenarios`, or
-/// any future generated workload.
-///
-/// `GameProfile` carries `&'static str` fields so the twelve paper
-/// profiles can live in a `const` table; synthesized profiles get the same
-/// lifetime by interning: [`ProfileBuilder::build`] leaks the profile once
-/// and returns the same `&'static GameProfile` for every later build of
-/// the same name (first build wins). The leak is bounded by the number of
-/// distinct scenario names in the process.
-#[derive(Debug, Clone)]
-pub struct ProfileBuilder {
-    name: String,
-    engine: String,
-    scene: SceneKind,
-    frames: u32,
-    aniso: Option<u8>,
-    indices_per_batch: f64,
-    indices_per_frame: f64,
-    index_bytes: u8,
-    vs_instructions: f64,
-    primitive_mix: (f64, f64, f64),
-    primitives_per_frame: f64,
-    fs_instructions: f64,
-    fs_tex_instructions: f64,
-    stencil_shadows: bool,
-}
-
-impl ProfileBuilder {
-    /// Starts a profile named `name` with neutral defaults.
-    pub fn new(name: &str) -> Self {
-        ProfileBuilder {
-            name: name.to_string(),
-            engine: String::from("synthetic"),
-            scene: SceneKind::Mixed,
-            frames: 0,
-            aniso: None,
-            indices_per_batch: 0.0,
-            indices_per_frame: 0.0,
-            index_bytes: 2,
-            vs_instructions: 0.0,
-            primitive_mix: (1.0, 0.0, 0.0),
-            primitives_per_frame: 0.0,
-            fs_instructions: 0.0,
-            fs_tex_instructions: 0.0,
-            stencil_shadows: false,
-        }
-    }
-
-    /// Engine label shown in reports.
-    pub fn engine(mut self, engine: &str) -> Self {
-        self.engine = engine.to_string();
-        self
-    }
-
-    /// Scene style.
-    pub fn scene(mut self, scene: SceneKind) -> Self {
-        self.scene = scene;
-        self
-    }
-
-    /// Frame count of the generated demo.
-    pub fn frames(mut self, frames: u32) -> Self {
-        self.frames = frames;
-        self
-    }
-
-    /// Anisotropic filtering level (`None` = trilinear).
-    pub fn aniso(mut self, aniso: Option<u8>) -> Self {
-        self.aniso = aniso;
-        self
-    }
-
-    /// Declared batch granularity (Table III analogue).
-    pub fn batching(mut self, indices_per_batch: f64, indices_per_frame: f64, index_bytes: u8) -> Self {
-        self.indices_per_batch = indices_per_batch;
-        self.indices_per_frame = indices_per_frame;
-        self.index_bytes = index_bytes;
-        self
-    }
-
-    /// Declared shader lengths (Tables IV/XII analogue).
-    pub fn shaders(mut self, vs: f64, fs_total: f64, fs_tex: f64) -> Self {
-        self.vs_instructions = vs;
-        self.fs_instructions = fs_total;
-        self.fs_tex_instructions = fs_tex;
-        self
-    }
-
-    /// Declared primitive mix and throughput (Table V analogue).
-    pub fn primitives(mut self, mix: (f64, f64, f64), per_frame: f64) -> Self {
-        self.primitive_mix = mix;
-        self.primitives_per_frame = per_frame;
-        self
-    }
-
-    /// Whether the workload renders stencil shadow volumes.
-    pub fn stencil_shadows(mut self, on: bool) -> Self {
-        self.stencil_shadows = on;
-        self
-    }
-
-    /// Interns and returns the profile.
-    pub fn build(self) -> &'static GameProfile {
-        use std::collections::HashMap;
-        use std::sync::{Mutex, OnceLock};
-        static REGISTRY: OnceLock<Mutex<HashMap<String, &'static GameProfile>>> = OnceLock::new();
-        let mut reg = REGISTRY.get_or_init(|| Mutex::new(HashMap::new())).lock().unwrap();
-        if let Some(existing) = reg.get(self.name.as_str()) {
-            return existing;
-        }
-        let leaked: &'static GameProfile = Box::leak(Box::new(GameProfile {
-            name: Box::leak(self.name.clone().into_boxed_str()),
-            engine: Box::leak(self.engine.into_boxed_str()),
-            release: "synthesized",
-            frames: self.frames,
-            duration: "-",
-            texture_quality: "High",
-            aniso: self.aniso,
-            uses_shaders: true,
-            api: GraphicsApi::OpenGl,
-            indices_per_batch: self.indices_per_batch,
-            indices_per_frame: self.indices_per_frame,
-            index_bytes: self.index_bytes,
-            vs_instructions: self.vs_instructions,
-            vs_instructions_region2: None,
-            primitive_mix: self.primitive_mix,
-            primitives_per_frame: self.primitives_per_frame,
-            fs_instructions: self.fs_instructions,
-            fs_tex_instructions: self.fs_tex_instructions,
-            stencil_shadows: self.stencil_shadows,
-            scene: self.scene,
-            simulated: true,
-        }));
-        reg.insert(self.name, leaked);
-        leaked
-    }
-}
-
 const ALL_PROFILES: &[GameProfile] = &[
     GameProfile {
         name: "UT2004/Primeval",
@@ -596,21 +457,5 @@ mod tests {
     fn lookup_by_name() {
         assert!(GameProfile::by_name("Quake4/demo4").is_some());
         assert!(GameProfile::by_name("nonexistent").is_none());
-    }
-
-    #[test]
-    fn builder_interns_by_name() {
-        let a = ProfileBuilder::new("test/builder-intern")
-            .engine("gwc-scenarios")
-            .frames(3)
-            .batching(512.0, 65_536.0, 2)
-            .shaders(12.0, 10.0, 3.0)
-            .build();
-        let b = ProfileBuilder::new("test/builder-intern").build();
-        assert!(std::ptr::eq(a, b), "same name must intern to the same profile");
-        assert_eq!(a.engine, "gwc-scenarios");
-        assert_eq!(a.indices_per_batch, 512.0);
-        // Synthesized profiles never shadow the Table I set.
-        assert!(GameProfile::by_name("test/builder-intern").is_none());
     }
 }

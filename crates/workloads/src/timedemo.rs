@@ -255,16 +255,6 @@ impl Timedemo {
         }
     }
 
-    /// The profile being generated.
-    pub fn profile(&self) -> &'static GameProfile {
-        self.profile
-    }
-
-    /// The generation config.
-    pub fn config(&self) -> &TimedemoConfig {
-        &self.config
-    }
-
     /// Emits the entire timedemo (setup plus all frames) into a sink.
     pub fn emit_all<S: CommandSink>(&mut self, sink: &mut S) {
         for frame in 0..self.config.frames {

@@ -10,7 +10,7 @@
 //! This crate is a facade: it re-exports the workspace crates under one
 //! name. See the individual crates for details:
 //!
-//! - [`math`] — vectors, matrices, frusta
+//! - [`math`] — vectors, matrices, projections
 //! - [`stats`] — counters, series, tables, bandwidth
 //! - [`mem`] — caches, compression, memory controller
 //! - [`shader`] — SIMD4 shader ISA + interpreter

@@ -11,18 +11,21 @@
 //! to ~4.4 after HZ/Z, while UT2004-style content blends instead.
 //!
 //! On mismatch the suite writes `target/golden-table-diff.txt` (one line
-//! per drifted metric: expected vs actual) so CI can upload the diff as an
-//! artifact, then fails with the same summary.
+//! per drifted metric: expected vs actual, from every failing test of the
+//! suite) so CI can upload the diff as an artifact, then fails with the
+//! same summary.
+
+use std::sync::Mutex;
 
 use gwc::mem::MemClient;
-use gwc::pipeline::{Gpu, GpuConfig};
+use gwc::pipeline::{FrameSimStats, Gpu, GpuConfig};
 use gwc::workloads::{GameProfile, Timedemo, TimedemoConfig};
 
 /// The seeded repro path: same seed as `repro`/`gwc-bench` (0x5EED).
-fn simulate(name: &str, frames: u32, width: u32, height: u32) -> Gpu {
+fn simulate(name: &str, frames: u32, config: GpuConfig) -> Gpu {
     let profile = GameProfile::by_name(name).expect("Table I demo");
     let mut demo = Timedemo::new(profile, TimedemoConfig { frames, seed: 0x5EED });
-    let mut gpu = Gpu::new(GpuConfig::r520(width, height));
+    let mut gpu = Gpu::new(config);
     demo.emit_all(&mut gpu);
     gpu
 }
@@ -95,6 +98,10 @@ const REL_TOL: f64 = 0.01;
 /// Absolute floor for metrics pinned near zero.
 const ABS_TOL: f64 = 0.002;
 
+/// Drift lines of every failed test in this run; the tests run in
+/// parallel, so each failure rewrites the diff file with all of them.
+static DRIFT: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
 struct Report {
     lines: Vec<String>,
 }
@@ -115,13 +122,49 @@ impl Report {
                 .push(format!("{demo}: {metric}: expected exactly {expected}, measured {actual}"));
         }
     }
+
+    fn check_geometry(&mut self, demo: &str, expected: &[u64; 7], t: &FrameSimStats) {
+        for (name, expected, actual) in [
+            ("geometry/indices", expected[0], t.indices),
+            ("geometry/vcache_hits", expected[1], t.vcache_hits),
+            ("geometry/shaded_vertices", expected[2], t.shaded_vertices),
+            ("geometry/assembled", expected[3], t.assembled),
+            ("geometry/clipped", expected[4], t.clipped),
+            ("geometry/culled", expected[5], t.culled),
+            ("geometry/traversed", expected[6], t.traversed),
+        ] {
+            self.check_exact(demo, name, expected, actual);
+        }
+    }
+
+    /// Passes if nothing drifted; otherwise writes the diff artifact and
+    /// fails with the same lines.
+    fn finish(self) {
+        if self.lines.is_empty() {
+            return;
+        }
+        let body = self.lines.join("\n");
+        let mut all = DRIFT.lock().unwrap_or_else(|e| e.into_inner());
+        all.extend(self.lines);
+        // Best-effort artifact for CI; the panic below carries the same
+        // information either way.
+        let path = std::path::Path::new("target").join("golden-table-diff.txt");
+        let _ = std::fs::create_dir_all("target");
+        let _ = std::fs::write(&path, format!("{}\n", all.join("\n")));
+        drop(all);
+        panic!(
+            "{} golden-table metric(s) drifted (diff written to {}):\n{body}",
+            body.lines().count(),
+            path.display()
+        );
+    }
 }
 
 #[test]
 fn golden_tables_hold() {
     let mut report = Report { lines: Vec::new() };
     for golden in GOLDEN {
-        let gpu = simulate(golden.demo, FRAMES, WIDTH, HEIGHT);
+        let gpu = simulate(golden.demo, FRAMES, GpuConfig::r520(WIDTH, HEIGHT));
         let t = gpu.stats().totals();
         let pixels = WIDTH as u64 * HEIGHT as u64 * FRAMES as u64;
 
@@ -156,17 +199,7 @@ fn golden_tables_hold() {
         }
 
         report.check(golden.demo, "fig5/vcache_hit", golden.vcache_hit, t.vertex_cache_hit_rate());
-        for (name, expected, actual) in [
-            ("geometry/indices", golden.geometry[0], t.indices),
-            ("geometry/vcache_hits", golden.geometry[1], t.vcache_hits),
-            ("geometry/shaded_vertices", golden.geometry[2], t.shaded_vertices),
-            ("geometry/assembled", golden.geometry[3], t.assembled),
-            ("geometry/clipped", golden.geometry[4], t.clipped),
-            ("geometry/culled", golden.geometry[5], t.culled),
-            ("geometry/traversed", golden.geometry[6], t.traversed),
-        ] {
-            report.check_exact(golden.demo, name, expected, actual);
-        }
+        report.check_geometry(golden.demo, &golden.geometry, t);
         report.check(
             golden.demo,
             "table13/bilinears_per_request",
@@ -183,18 +216,117 @@ fn golden_tables_hold() {
             report.check(golden.demo, name, expected, traffic.share(client));
         }
     }
+    report.finish();
+}
 
-    if !report.lines.is_empty() {
-        let body = report.lines.join("\n");
-        // Best-effort artifact for CI; the assertion below carries the
-        // same information either way.
-        let path = std::path::Path::new("target").join("golden-table-diff.txt");
-        let _ = std::fs::create_dir_all("target");
-        let _ = std::fs::write(&path, format!("{body}\n"));
-        panic!(
-            "{} golden-table metric(s) drifted (diff written to {}):\n{body}",
-            report.lines.len(),
-            path.display()
-        );
+/// Exact memory traffic of one configuration of [`write_back_bytes_hold`].
+struct BytesGolden {
+    label: &'static str,
+    /// The configuration, derived from `GpuConfig::r520` at the pin's
+    /// resolution.
+    config: fn(GpuConfig) -> GpuConfig,
+    /// Per-client `(read, written)` bytes over the run, in
+    /// `MemClient::ALL` order (Vertex, Z&Stencil, Texture, Color, DAC, CP).
+    bytes: [(u64, u64); 6],
+    /// The geometry counters, in the order of [`Golden::geometry`], where
+    /// the configuration changes them.
+    geometry: Option<[u64; 7]>,
+}
+
+/// The write-back pin runs one Doom3/trdemo2 frame at a wide, short
+/// target: 40 blocks per block row overflow a stripe's 64-line Z and
+/// color caches even at 16-row stripes, so dirty lines leave both by
+/// eviction and by the end-of-frame flush, and 48 rows leave a short last
+/// stripe at the default 32-row stripes.
+const BYTES_DEMO: &str = "Doom3/trdemo2";
+const BYTES_FRAMES: u32 = 1;
+const BYTES_WIDTH: u32 = 320;
+const BYTES_HEIGHT: u32 = 48;
+
+/// The configurations that steer the Z and color write-back paths: the
+/// default, compression off (every write-back is a raw 256-byte block), a
+/// 4-entry vertex cache, and 16-row stripes.
+const WRITE_BACK: &[BytesGolden] = &[
+    BytesGolden {
+        label: "r520",
+        config: |c| c,
+        bytes: [
+            (2501568, 0),
+            (225024, 274688),
+            (2574912, 0),
+            (178240, 208576),
+            (30336, 0),
+            (95552, 3577096),
+        ],
+        geometry: None,
+    },
+    BytesGolden {
+        label: "compression off",
+        config: |c| GpuConfig { z_compression: false, color_compression: false, ..c },
+        bytes: [
+            (2501568, 0),
+            (330240, 330240),
+            (2574912, 0),
+            (281344, 281344),
+            (61440, 0),
+            (95552, 3577096),
+        ],
+        geometry: None,
+    },
+    BytesGolden {
+        label: "vertex cache 4",
+        config: |c| GpuConfig { vertex_cache_entries: 4, ..c },
+        bytes: [
+            (2632128, 0),
+            (225024, 274688),
+            (2574912, 0),
+            (178240, 208576),
+            (30336, 0),
+            (95552, 3577096),
+        ],
+        geometry: Some([137472, 85416, 52056, 45824, 14468, 12016, 19340]),
+    },
+    BytesGolden {
+        label: "16-row stripes",
+        config: |c| GpuConfig { stripe_rows: 16, ..c },
+        bytes: [
+            (2501568, 0),
+            (169408, 219072),
+            (2595328, 0),
+            (144512, 174848),
+            (30336, 0),
+            (95552, 3577096),
+        ],
+        geometry: None,
+    },
+];
+
+/// Exact memory traffic per client under each [`WRITE_BACK`]
+/// configuration. The Table XVI checks above pin only shares, at ±1 %;
+/// these are integer sums, so any drift is a behavioural change.
+#[test]
+fn write_back_bytes_hold() {
+    let base = GpuConfig::r520(BYTES_WIDTH, BYTES_HEIGHT);
+    // Each configuration is its own simulation; run them side by side.
+    let gpus: Vec<Gpu> = std::thread::scope(|s| {
+        let runs: Vec<_> = WRITE_BACK
+            .iter()
+            .map(|g| s.spawn(move || simulate(BYTES_DEMO, BYTES_FRAMES, (g.config)(base))))
+            .collect();
+        runs.into_iter().map(|r| r.join().expect("simulation panicked")).collect()
+    });
+    let mut report = Report { lines: Vec::new() };
+    for (golden, gpu) in WRITE_BACK.iter().zip(gpus) {
+        let demo = format!("{BYTES_DEMO} [{}]", golden.label);
+        let traffic = gpu.memory().total();
+        for (client, &(read, written)) in MemClient::ALL.into_iter().zip(&golden.bytes) {
+            let t = traffic.client(client);
+            report.check_exact(&demo, &format!("bytes/{}/read", client.name()), read, t.read);
+            report.check_exact(&demo, &format!("bytes/{}/written", client.name()), written, t.written);
+        }
+        if let Some(geometry) = &golden.geometry {
+            report.check_geometry(&demo, geometry, gpu.stats().totals());
+        }
     }
+    report.finish();
 }
